@@ -48,7 +48,6 @@ from .linear_optics import (
     DualRailQubit,
     PhaseShifterSpec,
     beam_splitter,
-    coherent_bs_law_check,
     csf_gate,
     decode_dual_rail,
     encode_dual_rail,

@@ -35,7 +35,6 @@ from .linear_optics import csf_truth_table
 from .loop_circuit import (
     LoopPhase,
     LoopSchedule,
-    ProtocolViolation,
     canonical_schedule,
     run_loop_protocol,
     timing_report,
@@ -336,10 +335,10 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         config, results, csv_text = _HANDLERS[args.command](args)
-    except (SimulatorError, ProtocolViolation, ValueError, OSError, KeyError) as exc:
+        _emit(args, args.command, config, results, csv_text)
+    except (SimulatorError, ValueError, OSError, KeyError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    _emit(args, args.command, config, results, csv_text)
     return 0
 
 

@@ -8,38 +8,35 @@ two addressed modes transform as
 
 i.e. the symmetric real 50:50 mixing.  This single-particle matrix is a
 Hadamard, so the induced Fock-space unitary is real, symmetric, and its own
-inverse; the ``inverse`` flag still applies the adjoint so the intent of a
-reversed element stays explicit at call sites.  The induced unitary is
-number conserving, hence exact whenever the total photon number of the
-input does not exceed n_max; components that would overflow a mode are
-truncated.
+inverse: applying the splitter twice is the identity.  Truncation means the
+exact splitter acts on |n, m> and each mode is then cut at n_max, so the
+result is exact whenever the input's total photon number is at most n_max.
+
+The splitter conserves the total photon number N, so it acts as one block
+per sector.  The two-mode grid is read in rows of fixed (p + q) mod dim,
+dim = n_max + 1: sector N (p = 0..N) and sector N + dim (p = N+1..n_max)
+together hold exactly dim amplitudes, so one batched matmul over dim
+blocks of dim x dim needs no buffer larger than the state.
 
 A dual-rail qubit stores one photon across a pair of paths:
 |0bar> = |0>|1> and |1bar> = |1>|0>.  The conditional sign-flip network
 mixes the two "1" rails on a 50:50 splitter, applies a sign-shift gate to
-each, and unmixes with the adjoint splitter, negating exactly the
+each, and unmixes with the same splitter, negating exactly the
 |1bar>|1bar> amplitude.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from . import jcm
-from .errors import DimensionMismatch, ModeIndexOutOfRange
-from .fock import (
-    FockCutoff,
-    MultiModeState,
-    as_cutoff,
-    coherent_state,
-    number_state,
-    renormalize,
-    tensor,
-)
+from .errors import DimensionMismatch, ModeIndexOutOfRange, SimulatorError
+from .fock import FockCutoff, MultiModeState, number_state, renormalize
 
 
 @dataclass(frozen=True)
@@ -69,7 +66,7 @@ class DualRailQubit:
     mode_pair: tuple[int, int]
 
 
-class DecodeError(Exception):
+class DecodeError(SimulatorError):
     """State leaks out of the one-photon-per-pair code space."""
 
     def __init__(self, message: str, leakage: float):
@@ -77,56 +74,60 @@ class DecodeError(Exception):
         self.leakage = leakage
 
 
-@lru_cache(maxsize=8)
-def _pair_kernel(dim: int) -> np.ndarray:
-    """Two-mode matrix of the splitter, column (n, m) = image of |n, m>.
+def _sector_blocks(max_total: int) -> Iterator[np.ndarray]:
+    """Yield the exact splitter block of each sector N = 0..max_total.
 
-    The image is built by applying the transformed creation operators
-    (a_i† ± a_j†)/sqrt(2) repeatedly to the two-mode vacuum; occupations
-    beyond dim-1 are dropped.
+    Block N acts on the basis |p, N - p>, p = 0..N.  Peeling one photon off
+    each side, N |p, q> = sqrt(p) a_i†|p-1, q> + sqrt(q) a_j†|p, q-1>, and
+    the splitter maps a_i†, a_j† to (a_i† +- a_j†)/sqrt(2), so block N is
+    V (block N-1 (x) H) V†, with H the one-photon Hadamard and V the
+    photon-adding map, V V† = 1.  That step cannot amplify earlier rounding,
+    so the error grows only linearly in N, unlike building columns from the
+    vacuum with creation operators alone.
     """
-    sqrt_n = np.sqrt(np.arange(1, dim))
-    kernel = np.zeros((dim * dim, dim * dim))
-    for n in range(dim):
-        for m in range(dim):
-            coeff = np.zeros((dim, dim))
-            coeff[0, 0] = 1.0
-            for sign, count in ((1.0, n), (-1.0, m)):
-                for _ in range(count):
-                    raised = np.zeros_like(coeff)
-                    raised[1:, :] += sqrt_n[:, None] * coeff[:-1, :]
-                    raised[:, 1:] += sign * sqrt_n[None, :] * coeff[:, :-1]
-                    coeff = raised / math.sqrt(2)
-            kernel[:, n * dim + m] = coeff.ravel() / math.sqrt(
-                math.factorial(n) * math.factorial(m)
-            )
-    kernel.setflags(write=False)
-    return kernel
+    block = np.ones((1, 1))
+    yield block
+    for total in range(1, max_total + 1):
+        p = np.arange(total + 1)
+        on_i, on_j = np.sqrt(p), np.sqrt(total - p)
+        prev = np.pad(block, 1)  # prev[p' + 1, p + 1] = previous block[p', p]
+        block = (
+            on_i * (on_i[:, None] * prev[:-1, :-1] + on_j[:, None] * prev[1:, :-1])
+            + on_j * (on_i[:, None] * prev[:-1, 1:] - on_j[:, None] * prev[1:, 1:])
+        ) / (total * math.sqrt(2))
+        yield block
 
 
-def _apply_pair_operator(
-    s: MultiModeState, mode_i: int, mode_j: int, operator: np.ndarray
-) -> MultiModeState:
-    """Apply a two-mode operator to the (mode_i, mode_j) axes of a state."""
-    for mode in (mode_i, mode_j):
+@lru_cache(maxsize=8)
+def _splitter_blocks(dim: int) -> np.ndarray:
+    """Per-row splitter blocks, ``blocks[r, p_out, p_in]`` on rows (p + q) % dim = r.
+
+    Row r holds sector r (p = 0..r) and sector r + dim (p = r+1..dim-1),
+    each cut to the occupations p, N - p < dim that the state can hold.
+    """
+    blocks = np.zeros((dim, dim, dim))
+    for total, block in enumerate(_sector_blocks(2 * dim - 2)):
+        lo, hi = max(0, total - dim + 1), min(total, dim - 1) + 1
+        blocks[total % dim, lo:hi, lo:hi] = block[lo:hi, lo:hi]
+    blocks.setflags(write=False)
+    return blocks
+
+
+def beam_splitter(s: MultiModeState, spec: BeamSplitterSpec) -> MultiModeState:
+    """Apply the 50:50 splitter to two modes of a state."""
+    for mode in (spec.mode_i, spec.mode_j):
         if not 0 <= mode < s.mode_count:
             raise ModeIndexOutOfRange(f"mode {mode} outside [0, {s.mode_count - 1}]")
     dim = s.cutoff.dim
-    tens = np.moveaxis(s.as_tensor(), (mode_i, mode_j), (0, 1))
-    shape = tens.shape
-    mixed = operator @ tens.reshape(dim * dim, -1)
-    tens = np.moveaxis(mixed.reshape(shape), (0, 1), (mode_i, mode_j))
-    return s.with_amplitudes(np.ascontiguousarray(tens).reshape(-1))
-
-
-def beam_splitter(
-    s: MultiModeState, spec: BeamSplitterSpec, inverse: bool = False
-) -> MultiModeState:
-    """Apply the 50:50 splitter (or its adjoint) to two modes of a state."""
-    kernel = _pair_kernel(s.cutoff.dim)
-    if inverse:
-        kernel = kernel.T  # real matrix, adjoint = transpose
-    return _apply_pair_operator(s, spec.mode_i, spec.mode_j, kernel)
+    p = np.arange(dim)
+    q = (p[:, None] - p) % dim  # row r, slot p addresses |p, q[r, p]>
+    pair = (spec.mode_i, spec.mode_j)
+    tens = np.moveaxis(s.as_tensor(), pair, (0, 1))
+    # The blocks are real, so they mix real and imaginary parts as separate columns.
+    mixed = _splitter_blocks(dim) @ tens[p, q].reshape(dim, dim, -1).view(np.float64)
+    out = np.empty_like(s.as_tensor())
+    np.moveaxis(out, pair, (0, 1))[p, q] = mixed.view(np.complex128).reshape(tens.shape)
+    return s.with_amplitudes(out.reshape(-1))
 
 
 def phase_shifter(s: MultiModeState, spec: PhaseShifterSpec) -> MultiModeState:
@@ -139,35 +140,6 @@ def phase_shifter(s: MultiModeState, spec: PhaseShifterSpec) -> MultiModeState:
     shape[spec.mode] = dim
     tens = s.as_tensor() * phases.reshape(shape)
     return s.with_amplitudes(tens.reshape(-1))
-
-
-@dataclass(frozen=True)
-class CoherentSplitReport:
-    """Fock-space splitter output versus the closed-form coherent pair."""
-
-    alpha_in: complex
-    beta_in: complex
-    predicted_plus: complex
-    predicted_minus: complex
-    deviation_norm: float
-
-
-def coherent_bs_law_check(
-    alpha: complex, beta: complex, cutoff: int | FockCutoff = 12
-) -> CoherentSplitReport:
-    """Check the splitter sends |alpha>|beta> to |(a+b)/sqrt2>|(a-b)/sqrt2>.
-
-    Returns the L2 deviation between the simulated two-mode output and the
-    predicted coherent product; nonzero only through truncation.
-    """
-    cutoff = as_cutoff(cutoff)
-    state = tensor(coherent_state(alpha, cutoff), coherent_state(beta, cutoff))
-    out = beam_splitter(state, BeamSplitterSpec(0, 1))
-    plus = (alpha + beta) / math.sqrt(2)
-    minus = (alpha - beta) / math.sqrt(2)
-    predicted = tensor(coherent_state(plus, cutoff), coherent_state(minus, cutoff))
-    deviation = float(np.linalg.norm(out.amplitudes - predicted.amplitudes))
-    return CoherentSplitReport(complex(alpha), complex(beta), plus, minus, deviation)
 
 
 # -- dual-rail encoding ----------------------------------------------------
@@ -233,11 +205,12 @@ def csf_gate(
     """Conditional sign flip on two dual-rail qubits (modes x1,x2,y1,y2).
 
     Splitter on (x1, y1), a sign-shift gate on each of x1 and y1, then the
-    adjoint splitter.  ``ns_mode`` selects the exact gate (``"ideal"``) or
-    the atom-heralded realization (``"jcm"``) at odd index ``m``; in the
-    latter case both atoms must be found in |g> and the returned probability
-    is the compound herald probability (1 for the ideal gate).  The heralded
-    gate includes the compensating phase shifter whenever d(m) < 0.
+    same splitter again (it is its own inverse).  ``ns_mode`` selects the
+    exact gate (``"ideal"``) or the atom-heralded realization (``"jcm"``) at
+    odd index ``m``; in the latter case both atoms must be found in |g> and
+    the returned probability is the compound herald probability (1 for the
+    ideal gate).  The heralded gate includes the compensating phase shifter
+    whenever d(m) < 0.
     """
     if s.mode_count != 4:
         raise DimensionMismatch("the network acts on four modes (x1, x2, y1, y2)")
@@ -260,7 +233,7 @@ def csf_gate(
     out = out.with_amplitudes(tens.reshape(-1))
     success_probability = out.norm_squared()
     out = renormalize(out)
-    out = beam_splitter(out, spec, inverse=True)
+    out = beam_splitter(out, spec)
     return out, float(success_probability)
 
 

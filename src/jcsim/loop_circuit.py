@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import SimulatorError
 from .jcm import ns_gate_times
 
 SPEED_OF_LIGHT = 2.998e8  # m/s
@@ -72,7 +73,7 @@ def pockels_apply(state: np.ndarray, on: bool) -> np.ndarray:
     return (_PC_ON @ state.reshape(4)).reshape(2, 2)
 
 
-class ProtocolViolation(Exception):
+class ProtocolViolation(SimulatorError):
     """The schedule would eject the photon early or trap it in the loop."""
 
 

@@ -51,6 +51,13 @@ def test_table1_json_record(tmp_path, capsys):
     assert "timestamp" in record and "version" in record
 
 
+def test_out_to_directory_is_runtime_error(tmp_path, capsys):
+    code, out, err = run_cli(["table1", "--out", str(tmp_path)], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 # -- ns-gate -----------------------------------------------------------------
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import multinomial_oracle
+from oracles import coherent_bs_law_check, multinomial_oracle
 
 from jcsim.errors import ModeIndexOutOfRange
 from jcsim.fock import (
@@ -22,8 +22,8 @@ from jcsim.linear_optics import (
     DecodeError,
     DualRailQubit,
     PhaseShifterSpec,
+    _sector_blocks,
     beam_splitter,
-    coherent_bs_law_check,
     csf_gate,
     csf_truth_table,
     decode_dual_rail,
@@ -60,27 +60,30 @@ def test_vacuum_invariant():
     assert np.allclose(out.amplitudes, vacuum(2, 4).amplitudes)
 
 
+@pytest.mark.parametrize("n_max", [6, 12, 20, 30])
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=20)
-def test_forward_then_inverse_is_identity(seed):
-    s = random_bounded_state(6, seed)
-    roundtrip = beam_splitter(beam_splitter(s, BS01), BS01, inverse=True)
+def test_applied_twice_is_identity(n_max, seed):
+    s = random_bounded_state(n_max, seed)
+    roundtrip = beam_splitter(beam_splitter(s, BS01), BS01)
     assert np.abs(roundtrip.amplitudes - s.amplitudes).max() < 1e-12
 
 
+@pytest.mark.parametrize("n_max", [7, 12, 20, 30])
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=20)
-def test_norm_preserved_on_bounded_states(seed):
-    s = random_bounded_state(7, seed)
+def test_norm_preserved_on_bounded_states(n_max, seed):
+    s = random_bounded_state(n_max, seed)
     assert abs(beam_splitter(s, BS01).norm() - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("n_max", [6, 12, 20, 30])
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=15)
-def test_total_photon_distribution_conserved(seed):
-    s = random_bounded_state(6, seed)
+def test_total_photon_distribution_conserved(n_max, seed):
+    s = random_bounded_state(n_max, seed)
     out = beam_splitter(s, BS01)
-    dim = 7
+    dim = n_max + 1
     n1, n2 = np.meshgrid(np.arange(dim), np.arange(dim), indexing="ij")
     for state in (s, out):
         probs = np.abs(state.as_tensor()) ** 2
@@ -99,6 +102,20 @@ def test_matches_symbolic_multinomial_oracle(n_max):
             out = beam_splitter(number_state([n, m], n_max), BS01)
             oracle = multinomial_oracle(n, m, dim)
             assert np.abs(out.amplitudes - oracle).max() < 1e-9
+
+
+@pytest.mark.parametrize("n, m", [(28, 30), (30, 30), (15, 20)])
+def test_high_photon_columns_match_symbolic_multinomial_oracle(n, m):
+    out = beam_splitter(number_state([n, m], 30), BS01)
+    assert np.abs(out.amplitudes - multinomial_oracle(n, m, 31)).max() < 1e-12
+
+
+def test_sector_blocks_are_orthogonal_involutions():
+    # every sector a cutoff up to n_max = 40 reaches, so n_max 12, 20 and 30 too
+    for total, block in enumerate(_sector_blocks(2 * 40)):
+        identity = np.eye(total + 1)
+        assert np.abs(block.T @ block - identity).max() < 1e-12
+        assert np.abs(block @ block - identity).max() < 1e-12
 
 
 def test_beam_splitter_on_selected_modes_of_larger_register():

@@ -10,6 +10,7 @@ output uses 6 significant digits and no locale-dependent formatting.
 from __future__ import annotations
 
 import argparse
+import cmath
 import dataclasses
 import json
 import math
@@ -24,11 +25,11 @@ from .errors import SimulatorError
 from .fock import MultiModeState
 from .interferometer import (
     cavity_ns_output,
-    conditional_run,
     detector_statistics,
     f_functions,
     mach_zehnder,
     poisson_pmf,
+    sample_conditioned,
 )
 from .jcm import ns_gate, table1
 from .linear_optics import csf_truth_table
@@ -85,7 +86,7 @@ def _emit(args, command: str, config: dict, results: dict, csv_text: str | None)
             "version": __version__,
             "timestamp": datetime.now(timezone.utc).isoformat(),
         }
-        text = json.dumps(record, sort_keys=True, indent=2) + "\n"
+        text = json.dumps(record, sort_keys=True, indent=2, allow_nan=False) + "\n"
     out = getattr(args, "out", None)
     if out:
         Path(out).write_text(text)
@@ -159,8 +160,8 @@ def _cmd_mach_zehnder(args) -> tuple[dict, dict, None]:
         },
     }
     if args.shots > 0:
-        report = conditional_run(
-            args.shots, args.seed, complex(args.alpha), args.m, args.theta, args.n_max
+        report = sample_conditioned(
+            stats, args.shots, args.seed, complex(args.alpha), args.m, args.theta
         )
         results["monte_carlo"] = {
             "seed": report.seed,
@@ -328,6 +329,10 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--seed is required when --shots > 0")
     if args.command == "mach-zehnder" and args.shots < 0:
         parser.error("--shots must be >= 0")
+    if args.command == "mach-zehnder" and not (
+        cmath.isfinite(args.alpha) and math.isfinite(args.theta)
+    ):
+        parser.error("--alpha and --theta must be finite")
     if args.command == "loop-protocol" and args.schedule is None and (
         args.kappa is None or args.m is None
     ):

@@ -19,8 +19,10 @@ with means |alpha F_k(theta) / 2|^2.  Detector D1 watches the upper path
 (mode 0), D2 the lower (mode 1).
 
 Exact joint counting statistics are computed from the simulated two-mode
-state; the Monte Carlo sampler draws joint counts from that distribution,
-so its only randomness is shot noise under a caller-supplied seed.
+state.  The Monte Carlo detection record is one multinomial draw of the
+whole joint count table from that distribution, so its cost does not grow
+with the shot count and its only randomness is shot noise under a
+caller-supplied seed.
 """
 
 from __future__ import annotations
@@ -179,42 +181,42 @@ class ConditionedReport:
     leading_order_estimate: float        # branch-weight estimate of P(D2 = 1)
 
 
-def conditional_run(
+def sample_conditioned(
+    stats: DetectorStatistics,
     shots: int,
     seed: int,
     alpha: complex,
     m: int,
     theta: float,
-    cutoff: int | FockCutoff = 12,
 ) -> ConditionedReport:
-    """Sample joint detector counts and aggregate the D2 = 1 slice.
+    """Draw a detection record from ``stats`` and aggregate the D2 = 1 slice.
 
-    Each shot draws a joint count pair from the exact two-mode distribution
-    of the full cavity-plus-interferometer run; results are deterministic
-    for a fixed seed.  The leading-order estimate of the conditioning
-    frequency is the dominant branch weight 1/4 times the Poisson
-    probability of one photon at that branch's mean.
+    One multinomial draw of ``shots`` over the joint distribution gives the
+    joint count table counts[n1, n2] exactly in distribution; every figure
+    of the record is read from that table, so results are deterministic for
+    a fixed seed and the cost does not depend on ``shots``.  The
+    leading-order estimate of the conditioning frequency is the dominant
+    branch weight 1/4 times the Poisson probability of one photon at that
+    branch's mean; ``alpha``, ``m`` and ``theta`` are the run the statistics
+    came from.
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
-    cutoff = as_cutoff(cutoff)
-    cavity = cavity_ns_output(alpha, m, cutoff)
-    out = mach_zehnder(cavity.state, alpha, theta)
-    stats = detector_statistics(out)
-    dim = cutoff.dim
+    if shots > 2**63 - 1:  # the multinomial counts are int64
+        raise ValueError(f"shots must be <= 2**63 - 1, got {shots}")
+    exact_p_one = float(stats.marginal_d2[1])
+    if not exact_p_one > 0:
+        raise ValueError(
+            f"cannot condition on D2 = 1: its exact probability is {exact_p_one}"
+        )
+    dim = stats.joint.shape[0]
 
     flat = stats.joint.reshape(-1)
     flat = flat / flat.sum()  # strip truncation deficit for the sampler
     rng = np.random.default_rng(seed)
-    draws = rng.choice(flat.size, size=shots, p=flat)
-    n1, n2 = np.divmod(draws, dim)
+    counts = rng.multinomial(shots, flat).reshape(dim, dim)
+    d2_counts = counts.sum(axis=0)
 
-    d1_counts = np.bincount(n1, minlength=dim)
-    d2_counts = np.bincount(n2, minlength=dim)
-    conditioned = np.bincount(n1[n2 == 1], minlength=dim)
-
-    exact_p_one = float(stats.marginal_d2[1])
-    conditioned_exact = stats.joint[:, 1] / exact_p_one
     response = f_functions(theta, alpha)
     mu_dominant = abs(alpha * response.f4 / 2) ** 2
     estimate = poisson_pmf(1, mu_dominant) / 4
@@ -225,11 +227,30 @@ def conditional_run(
         alpha=complex(alpha),
         m=m,
         theta=theta,
-        d1_counts=d1_counts,
+        d1_counts=counts.sum(axis=1),
         d2_counts=d2_counts,
-        conditioned_d1_counts=conditioned,
-        d2_one_frequency=float((n2 == 1).mean()),
+        conditioned_d1_counts=counts[:, 1],
+        d2_one_frequency=float(d2_counts[1] / shots),
         d2_one_probability_exact=exact_p_one,
-        conditioned_d1_exact=conditioned_exact,
+        conditioned_d1_exact=stats.joint[:, 1] / exact_p_one,
         leading_order_estimate=float(estimate),
     )
+
+
+def conditional_run(
+    shots: int,
+    seed: int,
+    alpha: complex,
+    m: int,
+    theta: float,
+    cutoff: int | FockCutoff = 12,
+) -> ConditionedReport:
+    """Run cavity, Mach-Zehnder and detection, then sample the record.
+
+    The detection record is drawn by :func:`sample_conditioned` from the
+    exact two-mode counting distribution of the full
+    cavity-plus-interferometer run.
+    """
+    cavity = cavity_ns_output(alpha, m, cutoff)
+    stats = detector_statistics(mach_zehnder(cavity.state, alpha, theta))
+    return sample_conditioned(stats, shots, seed, alpha, m, theta)

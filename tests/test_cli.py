@@ -1,11 +1,13 @@
+import argparse
 import json
 import math
 
 import numpy as np
 import pytest
 
-from jcsim.cli import main
+from jcsim.cli import _emit, _jsonify, main
 from jcsim.fock import coherent_state, renormalize
+from jcsim.interferometer import conditional_run
 
 
 def run_cli(argv, capsys):
@@ -144,6 +146,62 @@ def test_mach_zehnder_deterministic_results(tmp_path, capsys):
     assert results["monte_carlo"]["seed"] == 42
     assert sum(results["monte_carlo"]["d1_counts"]) == 5000
     assert abs(results["monte_carlo"]["leading_order_estimate"] - 0.07315) < 5e-5
+
+
+def test_mach_zehnder_monte_carlo_matches_conditional_run(capsys):
+    code, out, _ = run_cli(
+        ["mach-zehnder", "--alpha", "0.5", "--theta", "1.5708", "--m", "3",
+         "--shots", "5000", "--seed", "42"],
+        capsys,
+    )
+    assert code == 0
+    mc = json.loads(out)["results"]["monte_carlo"]
+    report = conditional_run(5000, 42, 0.5, 3, 1.5708)
+    assert mc == {key: _jsonify(getattr(report, key)) for key in mc}
+
+
+def assert_one_error_line(err):
+    assert "Traceback" not in err
+    assert sum("error:" in line for line in err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ["--alpha", "0", "--theta", "1", "--shots", "10", "--seed", "1"],
+        ["--alpha", "0.5", "--theta", "1", "--shots", "100000000000000000000", "--seed", "1"],
+    ],
+    ids=["unreachable-condition", "shots-beyond-int64"],
+)
+def test_mach_zehnder_sampler_domain_is_runtime_error(extra, capsys):
+    code, out, err = run_cli(["mach-zehnder", *extra], capsys)
+    assert code == 1
+    assert out == ""
+    assert_one_error_line(err)
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ["--alpha", "0.5", "--theta", "inf"],
+        ["--alpha", "nan", "--theta", "1"],
+        ["--alpha", "0.5+infj", "--theta", "1", "--shots", "10", "--seed", "1"],
+    ],
+    ids=["theta-inf", "alpha-nan", "alpha-imag-inf"],
+)
+def test_mach_zehnder_non_finite_input_is_usage_error(extra, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["mach-zehnder", *extra])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert_one_error_line(captured.err)
+
+
+def test_emit_refuses_nan_tokens(capsys):
+    with pytest.raises(ValueError):
+        _emit(argparse.Namespace(out=None), "mach-zehnder", {}, {"x": math.nan}, None)
+    assert capsys.readouterr().out == ""
 
 
 def test_mach_zehnder_exact_only_run(capsys):

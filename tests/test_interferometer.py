@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -266,6 +267,39 @@ def test_poisson_pmf_domain():
 def test_conditional_run_rejects_zero_shots():
     with pytest.raises(ValueError):
         conditional_run(0, 1, 0.5, 3, math.pi / 2)
+
+
+def test_conditional_run_rejects_shots_beyond_int64():
+    # the guard fires before the draw, so nothing of that size is allocated
+    with pytest.raises(ValueError, match=r"2\*\*63 - 1"):
+        conditional_run(2**63, 1, 0.5, 3, math.pi / 2)
+
+
+def test_conditional_run_rejects_unreachable_condition():
+    # vacuum input: D2 never sees one photon, so the D2 = 1 slice is undefined
+    with pytest.raises(ValueError, match="D2 = 1"):
+        conditional_run(10, 1, 0.0, 3, 1.0)
+
+
+@pytest.mark.parametrize(
+    "shots, seed, theta",
+    [(1, 5, math.pi / 2), (2000, 123, math.pi / 2), (100_000, 7, 0.3), (2**63 - 1, 3, 1.0)],
+)
+def test_count_table_invariants(shots, seed, theta):
+    report = conditional_run(shots, seed, 0.5, 3, theta)
+    assert report.d1_counts.sum() == report.d2_counts.sum() == shots
+    assert report.conditioned_d1_counts.sum() == report.d2_counts[1]
+    assert report.d2_one_frequency == report.d2_counts[1] / shots
+
+
+def test_billion_shots_in_well_under_a_second():
+    # a per-shot draw would need more than 8 GB for its index array alone
+    shots = 10**9
+    start = time.perf_counter()
+    report = conditional_run(shots, 11, 0.5, 3, math.pi / 2)
+    assert time.perf_counter() - start < 1.0
+    assert report.d1_counts.sum() == report.d2_counts.sum() == shots
+    assert report.conditioned_d1_counts.sum() == report.d2_counts[1]
 
 
 def test_conditional_run_deterministic():

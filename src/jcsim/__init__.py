@@ -25,7 +25,6 @@ from .fock import (
     coherent_state,
     number_state,
     overlap,
-    partial_trace_probabilities,
     renormalize,
     tensor,
     vacuum,
@@ -38,14 +37,12 @@ from .jcm import (
     cm_dm,
     jcm_propagate,
     ns_gate,
-    ns_gate_ideal,
     ns_gate_times,
     table1,
 )
 from .linear_optics import (
     BeamSplitterSpec,
     DecodeError,
-    DualRailQubit,
     PhaseShifterSpec,
     beam_splitter,
     csf_gate,

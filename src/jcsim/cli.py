@@ -225,7 +225,17 @@ def _load_schedule(source: str) -> LoopSchedule:
         is_file = False
     text = Path(source).read_text() if is_file else source
     phases = json.loads(text)
-    return LoopSchedule(tuple(LoopPhase(bool(p["pc_on"]), float(p["duration"])) for p in phases))
+    if not isinstance(phases, list) or not all(
+        isinstance(p, dict)
+        and isinstance(p.get("pc_on"), bool)
+        and isinstance(p.get("duration"), (int, float))
+        for p in phases
+    ):
+        raise ValueError(
+            "a schedule is a JSON list of objects, each with a boolean 'pc_on' "
+            "and a numeric 'duration'"
+        )
+    return LoopSchedule(tuple(LoopPhase(p["pc_on"], float(p["duration"])) for p in phases))
 
 
 def _cmd_loop_protocol(args) -> tuple[dict, dict, None]:
@@ -333,6 +343,10 @@ def main(argv: list[str] | None = None) -> int:
         cmath.isfinite(args.alpha) and math.isfinite(args.theta)
     ):
         parser.error("--alpha and --theta must be finite")
+    if args.command == "fig3-sweep" and args.steps < 1:
+        parser.error("--steps must be >= 1")
+    if args.command == "fig4-pmf" and args.max_n < 0:
+        parser.error("--max-n must be >= 0")
     if args.command == "loop-protocol" and args.schedule is None and (
         args.kappa is None or args.m is None
     ):

@@ -31,7 +31,6 @@ import numpy as np
 from .errors import (
     CutoffMismatch,
     DimensionMismatch,
-    ModeIndexOutOfRange,
     OccupationExceedsCutoff,
     ZeroStateError,
 )
@@ -232,13 +231,3 @@ def tensor(a: MultiModeState, b: MultiModeState) -> MultiModeState:
     amps = np.kron(a.amplitudes, b.amplitudes)
     return MultiModeState(a.mode_count + b.mode_count, a.cutoff, amps)
 
-
-def partial_trace_probabilities(s: MultiModeState, mode: int) -> np.ndarray:
-    """Photon-count distribution P(n) on one mode of a normalized state."""
-    if not 0 <= mode < s.mode_count:
-        raise ModeIndexOutOfRange(
-            f"mode {mode} outside [0, {s.mode_count - 1}]"
-        )
-    probs = np.abs(s.as_tensor()) ** 2
-    axes = tuple(ax for ax in range(s.mode_count) if ax != mode)
-    return probs.sum(axis=axes) if axes else probs.copy()

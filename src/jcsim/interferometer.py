@@ -158,8 +158,8 @@ def poisson_pmf(n: int, mu: float) -> float:
     """exp(-mu) mu^n / n! for n = 0, 1, 2, ..."""
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
-    if mu < 0:
-        raise ValueError(f"mu must be non-negative, got {mu}")
+    if not 0 <= mu < math.inf:
+        raise ValueError(f"mu must be finite and non-negative, got {mu}")
     return math.exp(-mu) * mu**n / math.factorial(n)
 
 

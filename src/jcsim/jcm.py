@@ -22,8 +22,13 @@ and keep only runs where the atom is detected in |g>.  At t_m the
 two-photon component picks up exactly -1 while the single-photon component
 is scaled by d(m) = cos((2m+1) pi / sqrt(2)); the run fails (atom found in
 |e>) with probability |c(m)|^2 = 1 - d(m)^2 per unit of single-photon
-weight.  For odd-sign d(m) (the m=3 route) a lossless (-1)^n phase shifter
-restores the |1> sign.
+weight.  Because U(t_m) is block diagonal, one propagation of
+|g> (x) sum_n |n> holds the whole post-selected diagonal in its ground
+block, and c(m), d(m) in its one-excitation block; every quantity of the
+gate is read from that propagation.  |kappa| cancels out of the
+post-selected action and phi only rotates c(m), so the gate runs at
+|kappa| = 1, phi = 0.  For negative d(m) (e.g. the m=3 route) a lossless
+(-1)^n phase shifter restores the |1> sign.
 """
 
 from __future__ import annotations
@@ -45,14 +50,8 @@ class AtomState:
     g_component: complex
     e_component: complex
 
-    @property
-    def is_normalized(self) -> bool:
-        total = abs(self.g_component) ** 2 + abs(self.e_component) ** 2
-        return abs(total - 1.0) <= 1e-9
-
 
 ATOM_GROUND = AtomState(1.0, 0.0)
-ATOM_EXCITED = AtomState(0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -145,36 +144,37 @@ def ns_gate_times(kappa_abs: float, m: int) -> float:
     return (2 * m + 1) * math.pi / (math.sqrt(2) * kappa_abs)
 
 
-def cm_dm(m: int, kappa_phase: float = 0.0) -> tuple[complex, float]:
-    """Leak amplitude c(m) and survival coefficient d(m) of the |1> sector.
+def _heralded_propagation(m: int, cutoff: int | FockCutoff) -> AtomFieldState:
+    """U(t_m) (|g> (x) sum_n |n>) at |kappa| = 1, phi = 0.
 
-    d(m) = cos((2m+1) pi / sqrt(2)); c(m) carries the propagator's
-    -i e^{i phi} convention so that U(t_m)|g,1> = c(m)|e,0> + d(m)|g,1>
-    holds exactly.
-    """
-    angle = (2 * m + 1) * math.pi / math.sqrt(2)
-    d = math.cos(angle)
-    c = -1j * cmath.exp(1j * kappa_phase) * math.sin(angle)
-    return c, d
-
-
-def ns_post_selected_diagonal(
-    m: int, cutoff: int | FockCutoff, apply_compensating_phase: bool = False
-) -> np.ndarray:
-    """Diagonal photon-number action of the gate heralded on the atom in |g>.
-
-    Projecting U(t_m) (|g> (x) |n>) back onto the ground state leaves the
-    photon amplitude scaled by cos(sqrt(n) (2m+1) pi / sqrt(2)); the
-    optional (-1)^n factor models the compensating phase shifter.
+    The ground block is the post-selected diagonal; the |1> sector gives
+    c(m) in ``e_block[0]`` and d(m) in ``g_block[1]``.
     """
     cutoff = as_cutoff(cutoff)
-    n = np.arange(cutoff.dim)
-    diag = np.cos(np.sqrt(n) * (2 * m + 1) * math.pi / math.sqrt(2)).astype(
-        np.complex128
-    )
-    if apply_compensating_phase:
-        diag *= (-1.0) ** n
-    return diag
+    photons = MultiModeState(1, cutoff, np.ones(cutoff.dim))
+    start = AtomFieldState.from_product(ATOM_GROUND, photons)
+    return jcm_propagate(start, JCMParams(1.0, time=ns_gate_times(1.0, m)))
+
+
+def _one_photon_sector(evolved: AtomFieldState) -> tuple[complex, float]:
+    return complex(evolved.e_block[0]), float(evolved.g_block[1].real)
+
+
+def cm_dm(m: int) -> tuple[complex, float]:
+    """Leak amplitude c(m) and survival coefficient d(m) of the |1> sector.
+
+    U(t_m)|g,1> = c(m)|e,0> + d(m)|g,1>, read from the propagator.
+    """
+    return _one_photon_sector(_heralded_propagation(m, 2))
+
+
+def ns_post_selected_diagonal(m: int, cutoff: int | FockCutoff) -> np.ndarray:
+    """Diagonal photon-number action of the gate heralded on the atom in |g>.
+
+    Entry n is <g,n| U(t_m) |g,n>, the factor by which post-selection on
+    the ground state scales the photon amplitude on |n>.
+    """
+    return _heralded_propagation(m, cutoff).g_block
 
 
 @dataclass(frozen=True)
@@ -189,27 +189,20 @@ class NSGateResult:
 
 
 def ns_gate(
-    input_state: MultiModeState,
-    m: int,
-    apply_compensating_phase: bool = False,
-    kappa_abs: float = 1.0,
-    kappa_phase: float = 0.0,
+    input_state: MultiModeState, m: int, apply_compensating_phase: bool = False
 ) -> NSGateResult:
-    """Run the full atom-field protocol and post-select the atom in |g>.
+    """Run the atom-field protocol and post-select the atom in |g>.
 
-    Builds |g> (x) input, evolves for t_m, projects onto the ground state,
-    renormalizes, and optionally applies the (-1)^n compensator.  The
-    success probability is the squared norm of the unnormalized projection.
+    Scales the input by the post-selected diagonal of U(t_m), renormalizes,
+    and optionally applies the (-1)^n compensator.  The success probability
+    is the squared norm of the unnormalized projection.
     """
     if input_state.mode_count != 1:
         raise DimensionMismatch("the gate acts on a single-mode state")
     if not input_state.is_normalized:
         raise ValueError("input state must be normalized")
-    joint = AtomFieldState.from_product(ATOM_GROUND, input_state)
-    params = JCMParams(kappa_abs, kappa_phase, ns_gate_times(kappa_abs, m))
-    evolved = jcm_propagate(joint, params)
-
-    surviving = MultiModeState(1, input_state.cutoff, evolved.g_block)
+    evolved = _heralded_propagation(m, input_state.cutoff)
+    surviving = input_state.with_amplitudes(input_state.amplitudes * evolved.g_block)
     success_probability = surviving.norm_squared()
     if success_probability == 0.0:
         raise ZeroStateError("atom is never found in |g>; nothing to post-select")
@@ -217,21 +210,8 @@ def ns_gate(
     if apply_compensating_phase:
         signs = (-1.0) ** np.arange(input_state.cutoff.dim)
         output = output.with_amplitudes(output.amplitudes * signs)
-    c, d = cm_dm(m, kappa_phase)
+    c, d = _one_photon_sector(evolved)
     return NSGateResult(output, success_probability, m, c, d)
-
-
-def ns_gate_ideal(input_state: MultiModeState) -> MultiModeState:
-    """Exact limit of the gate: negate the two-photon amplitude.
-
-    Defined on support {|0>, |1>, |2>}; higher occupations, which the
-    protocol is never fed, pass through unchanged.
-    """
-    if input_state.mode_count != 1:
-        raise DimensionMismatch("the gate acts on a single-mode state")
-    amps = input_state.amplitudes.copy()
-    amps[2] = -amps[2]
-    return input_state.with_amplitudes(amps)
 
 
 def table1() -> list[tuple[int, float, float]]:

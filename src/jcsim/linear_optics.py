@@ -59,13 +59,6 @@ class PhaseShifterSpec:
     theta: float
 
 
-@dataclass(frozen=True)
-class DualRailQubit:
-    """Pair of mode indices (rail carrying |1bar>, rail carrying |0bar>)."""
-
-    mode_pair: tuple[int, int]
-
-
 class DecodeError(SimulatorError):
     """State leaks out of the one-photon-per-pair code space."""
 
@@ -145,12 +138,15 @@ def phase_shifter(s: MultiModeState, spec: PhaseShifterSpec) -> MultiModeState:
 # -- dual-rail encoding ----------------------------------------------------
 
 
+#: Rail occupations of logical bit b: |0bar> = |0>|1>, |1bar> = |1>|0>.
+_RAILS = ((0, 1), (1, 0))
+
+
 def encode_dual_rail(bit: int, cutoff: int | FockCutoff = 12) -> MultiModeState:
     """|0bar> -> |0>|1>, |1bar> -> |1>|0> on a fresh two-mode pair."""
     if bit not in (0, 1):
         raise ValueError(f"logical bit must be 0 or 1, got {bit}")
-    occupations = (0, 1) if bit == 0 else (1, 0)
-    return number_state(occupations, cutoff)
+    return number_state(_RAILS[bit], cutoff)
 
 
 @dataclass(frozen=True)
@@ -160,21 +156,15 @@ class DecodedQubit:
     leakage: float
 
 
-def decode_dual_rail(
-    s: MultiModeState,
-    qubit: DualRailQubit = DualRailQubit((0, 1)),
-    tolerance: float = 1e-9,
-) -> DecodedQubit:
+def decode_dual_rail(s: MultiModeState, tolerance: float = 1e-9) -> DecodedQubit:
     """Read the logical amplitudes off a two-mode pair.
 
     Raises :class:`DecodeError` (with the leakage attached) when the weight
     outside the single-photon-per-pair subspace exceeds ``tolerance``.
     """
-    if s.mode_count != 2 or set(qubit.mode_pair) != {0, 1}:
+    if s.mode_count != 2:
         raise DimensionMismatch("decoding expects a state on exactly the rail pair")
-    first, second = qubit.mode_pair
-    zero_amp = s.amplitude([0, 1] if (first, second) == (0, 1) else [1, 0])
-    one_amp = s.amplitude([1, 0] if (first, second) == (0, 1) else [0, 1])
+    zero_amp, one_amp = (s.amplitude(rails) for rails in _RAILS)
     leakage = s.norm_squared() - abs(zero_amp) ** 2 - abs(one_amp) ** 2
     leakage = max(0.0, float(leakage))
     if leakage > tolerance:
@@ -194,9 +184,7 @@ def logical_basis_state(j: int, k: int, cutoff: int | FockCutoff = 12) -> MultiM
     """|jbar>|kbar> on the four-mode register (x1, x2, y1, y2)."""
     if j not in (0, 1) or k not in (0, 1):
         raise ValueError("logical labels must be 0 or 1")
-    x = (0, 1) if j == 0 else (1, 0)
-    y = (0, 1) if k == 0 else (1, 0)
-    return number_state(x + y, cutoff)
+    return number_state(_RAILS[j] + _RAILS[k], cutoff)
 
 
 def csf_gate(
@@ -207,10 +195,10 @@ def csf_gate(
     Splitter on (x1, y1), a sign-shift gate on each of x1 and y1, then the
     same splitter again (it is its own inverse).  ``ns_mode`` selects the
     exact gate (``"ideal"``) or the atom-heralded realization (``"jcm"``) at
-    odd index ``m``; in the latter case both atoms must be found in |g> and
+    index ``m`` >= 0; in the latter case both atoms must be found in |g> and
     the returned probability is the compound herald probability (1 for the
-    ideal gate).  The heralded gate includes the compensating phase shifter
-    whenever d(m) < 0.
+    ideal gate).  The heralded gate includes the compensating (-1)^n phase
+    shifter whenever d(m) < 0, so the logical signs hold at every m.
     """
     if s.mode_count != 4:
         raise DimensionMismatch("the network acts on four modes (x1, x2, y1, y2)")
@@ -222,8 +210,9 @@ def csf_gate(
         diag = np.ones(dim, dtype=np.complex128)
         diag[2] = -1.0
     elif ns_mode == "jcm":
-        _, d = jcm.cm_dm(m)
-        diag = jcm.ns_post_selected_diagonal(m, s.cutoff, apply_compensating_phase=d < 0)
+        diag = jcm.ns_post_selected_diagonal(m, s.cutoff)
+        if diag[1].real < 0:  # d(m) < 0
+            diag = diag * (-1.0) ** np.arange(dim)
     else:
         raise ValueError(f"ns_mode must be 'ideal' or 'jcm', got {ns_mode!r}")
 
@@ -247,9 +236,7 @@ def csf_truth_table(
             state_in = logical_basis_state(j, k, cutoff)
             state_out, probability = csf_gate(state_in, ns_mode=ns_mode, m=m)
             amplitudes = {
-                f"{a}{b}": state_out.amplitude(
-                    ((0, 1) if a == 0 else (1, 0)) + ((0, 1) if b == 0 else (1, 0))
-                )
+                f"{a}{b}": state_out.amplitude(_RAILS[a] + _RAILS[b])
                 for a in (0, 1)
                 for b in (0, 1)
             }

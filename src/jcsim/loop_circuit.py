@@ -83,7 +83,7 @@ class LoopPhase:
     duration: float
 
     def __post_init__(self) -> None:
-        if self.duration <= 0:
+        if not self.duration > 0:
             raise ValueError(f"phase duration must be positive, got {self.duration}")
 
 
@@ -217,16 +217,6 @@ class LoopTimingReport:
     def pc_fast_enough(self) -> bool:
         return self.achievable_pc_response <= self.pc_response_required
 
-    # The singular aliases refer to the shorter (m=1) gate.
-    @property
-    def round_trips(self) -> float:
-        return self.round_trips_m1
-
-    @property
-    def survival_probability(self) -> float:
-        # Underflows to 0.0 below ~1e-308; survival_log10_m1 stays exact.
-        return 10.0**self.survival_log10_m1
-
     @staticmethod
     def _scientific(log10_value: float) -> str:
         exponent = math.floor(log10_value)
@@ -267,7 +257,7 @@ def timing_report(
     may differ).  Survival probabilities are tracked in log10 because the
     round-trip count is of order 1e7 and the product underflows doubles.
     """
-    if wavelength <= 0 or kappa_abs <= 0:
+    if not (wavelength > 0 and kappa_abs > 0):
         raise ValueError("wavelength and kappa_abs must be positive")
     if not (0 <= loss_pc < 1 and 0 <= loss_pbs < 1):
         raise ValueError("losses must lie in [0, 1)")

@@ -1,10 +1,11 @@
 """Independent reference routes used by the test suite.
 
 These deliberately avoid the package's own block/ladder constructions:
-the atom-field propagator is rebuilt as a dense matrix exponential and the
-splitter as an exact symbolic binomial expansion, so each checks the
-production code through arithmetic it does not share.  The coherent
-splitting-law check lives here too: only the tests use it.
+the atom-field propagator is rebuilt as a dense matrix exponential, the
+heralded gate's action as the closed-form cosine and sine of the gate
+angle, and the splitter as an exact symbolic binomial expansion, so each
+checks the production code through arithmetic it does not share.  The
+coherent splitting-law check lives here too: only the tests use it.
 """
 
 import math
@@ -31,6 +32,18 @@ def dense_propagator(n_max, kappa_abs, kappa_phase, t):
         raise_atom.T, a.conj().T
     )
     return expm(-1j * t * h)
+
+
+def ns_diagonal_closed_form(m, n_max):
+    """<g,n| U(t_m) |g,n> = cos(sqrt(n) (2m+1) pi / sqrt(2)) for n = 0..n_max."""
+    n = np.arange(n_max + 1)
+    return np.cos(np.sqrt(n) * (2 * m + 1) * math.pi / math.sqrt(2))
+
+
+def cm_dm_closed_form(m):
+    """(c(m), d(m)) with U(t_m)|g,1> = c(m)|e,0> + d(m)|g,1>, at coupling phase 0."""
+    angle = (2 * m + 1) * math.pi / math.sqrt(2)
+    return -1j * math.sin(angle), math.cos(angle)
 
 
 def multinomial_oracle(n, m, dim):

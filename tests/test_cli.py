@@ -230,6 +230,37 @@ def test_fig3_sweep_peak(capsys):
     assert best[1] == pytest.approx(2.732, abs=5e-4)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["fig3-sweep", "--steps", "0"], ["fig3-sweep", "--steps", "-1"], ["fig4-pmf", "--max-n", "-1"]],
+    ids=["steps-zero", "steps-negative", "max-n-negative"],
+)
+def test_empty_table_is_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert_one_error_line(captured.err)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fig4-pmf", "--mu1", "nan"],
+        ["fig4-pmf", "--mu2", "inf"],
+        ["loop-timing", "--wavelength", "nan", "--kappa", "1e4"],
+    ],
+    ids=["fig4-pmf-mu-nan", "fig4-pmf-mu-inf", "loop-timing-wavelength-nan"],
+)
+def test_nan_domain_is_runtime_error(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert_one_error_line(err)
+    assert "must be" in err
+
+
 def test_fig4_pmf_values(capsys):
     code, out, _ = run_cli(["fig4-pmf"], capsys)
     assert code == 0
@@ -293,6 +324,25 @@ def test_loop_protocol_violation_is_runtime_error(capsys):
     code, _, err = run_cli(["loop-protocol", "--schedule", schedule], capsys)
     assert code == 1
     assert "injection" in err
+
+
+@pytest.mark.parametrize(
+    "schedule",
+    [
+        '[1,2,3]',
+        '{"a": 1}',
+        '[{"pc_on": true}]',
+        '[{"pc_on": true, "duration": [1]}]',
+        '[{"pc_on": "false", "duration": 1e-9}]',
+    ],
+    ids=["list-of-ints", "object", "missing-duration", "non-numeric-duration", "string-pc-on"],
+)
+def test_loop_protocol_malformed_schedule_is_runtime_error(schedule, capsys):
+    code, out, err = run_cli(["loop-protocol", "--schedule", schedule], capsys)
+    assert code == 1
+    assert out == ""
+    assert_one_error_line(err)
+    assert "schedule" in err
 
 
 def test_loop_protocol_needs_schedule_or_canonical_args(capsys):

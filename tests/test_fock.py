@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from jcsim.errors import (
     CutoffMismatch,
     DimensionMismatch,
-    ModeIndexOutOfRange,
     OccupationExceedsCutoff,
     ZeroStateError,
 )
@@ -19,7 +18,6 @@ from jcsim.fock import (
     coherent_state,
     number_state,
     overlap,
-    partial_trace_probabilities,
     renormalize,
     tensor,
     vacuum,
@@ -192,49 +190,6 @@ def test_tensor_norm_multiplicative(seed_a, seed_b):
 def test_tensor_cutoff_mismatch():
     with pytest.raises(CutoffMismatch):
         tensor(vacuum(1, 3), vacuum(1, 4))
-
-
-# -- partial trace ------------------------------------------------------------
-
-
-def test_marginal_of_product_basis_state():
-    s = number_state([1, 0], 4)
-    probs = partial_trace_probabilities(s, 0)
-    assert probs[1] == 1.0
-    assert probs.sum() == pytest.approx(1.0)
-
-
-def test_marginal_of_two_photon_superposition():
-    # (|2,0> - |0,2>)/sqrt(2): each arm carries half the weight
-    s = number_state([2, 0], 4)
-    amps = (number_state([2, 0], 4).amplitudes - number_state([0, 2], 4).amplitudes) / math.sqrt(2)
-    s = s.with_amplitudes(amps)
-    probs = partial_trace_probabilities(s, 0)
-    assert np.isclose(probs[0], 0.5)
-    assert np.isclose(probs[2], 0.5)
-    assert np.isclose(probs[1], 0.0)
-
-
-def test_marginal_of_coherent_is_poissonian():
-    alpha = 0.683
-    probs = partial_trace_probabilities(coherent_state(alpha, 12), 0)
-    mean = alpha**2
-    expected = [math.exp(-mean) * mean**n / math.factorial(n) for n in range(5)]
-    assert np.allclose(probs[:5], expected, atol=1e-12)
-    # mean photon number matches the quoted counting mean to display precision
-    assert abs((np.arange(13) * probs).sum() - 0.4665) < 1e-3
-
-
-def test_marginal_consistent_with_tensor_factor():
-    a = random_state(1, 4, 7)
-    b = random_state(1, 4, 8)
-    marg = partial_trace_probabilities(tensor(a, b), 0)
-    assert np.allclose(marg, np.abs(a.amplitudes) ** 2, atol=1e-12)
-
-
-def test_marginal_mode_out_of_range():
-    with pytest.raises(ModeIndexOutOfRange):
-        partial_trace_probabilities(vacuum(2, 3), 2)
 
 
 # -- serialization -------------------------------------------------------------

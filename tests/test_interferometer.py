@@ -259,6 +259,10 @@ def test_poisson_pmf_domain():
         poisson_pmf(-1, 0.5)
     with pytest.raises(ValueError):
         poisson_pmf(1, -0.5)
+    with pytest.raises(ValueError):
+        poisson_pmf(1, math.nan)
+    with pytest.raises(ValueError):
+        poisson_pmf(1, math.inf)
 
 
 # -- Monte Carlo -----------------------------------------------------------------------

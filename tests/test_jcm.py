@@ -4,18 +4,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import dense_propagator
+from oracles import cm_dm_closed_form, dense_propagator, ns_diagonal_closed_form
 
+from jcsim import jcm
 from jcsim.fock import FockCutoff, MultiModeState, number_state, renormalize, vacuum
 from jcsim.jcm import (
     ATOM_GROUND,
     AtomFieldState,
-    AtomState,
     JCMParams,
     cm_dm,
     jcm_propagate,
     ns_gate,
-    ns_gate_ideal,
     ns_gate_times,
     ns_post_selected_diagonal,
     table1,
@@ -137,13 +136,18 @@ def test_cm_dm_reference_values(m):
 
 
 def test_cm_dm_matches_propagated_one_photon_sector():
-    # c(m), d(m) must be exactly the amplitudes of U(t_m)|g,1>
-    for m in (0, 1, 3):
-        s = AtomFieldState.from_product(ATOM_GROUND, number_state([1], 5))
-        out = jcm_propagate(s, JCMParams(1.0, 0.0, ns_gate_times(1.0, m)))
+    # c(m), d(m) are the amplitudes of U(t_m)|g,1> at any cutoff and any
+    # |kappa|, and agree with the closed-form sine and cosine of the angle
+    for m in range(5):
         c, d = cm_dm(m)
-        assert np.isclose(out.e_block[0], c, atol=1e-12)
-        assert np.isclose(out.g_block[1], d, atol=1e-12)
+        c_ref, d_ref = cm_dm_closed_form(m)
+        assert abs(c - c_ref) < 1e-12 and abs(d - d_ref) < 1e-12
+        for n_max in (2, 5, 12, 30):
+            for kappa in (1.0, 2.7):
+                s = AtomFieldState.from_product(ATOM_GROUND, number_state([1], n_max))
+                out = jcm_propagate(s, JCMParams(kappa, 0.0, ns_gate_times(kappa, m)))
+                assert abs(out.e_block[0] - c_ref) < 1e-12
+                assert abs(out.g_block[1] - d_ref) < 1e-12
 
 
 def test_table1_values_and_identity():
@@ -197,38 +201,46 @@ def test_ns_gate_requires_normalized_input():
 
 
 def test_ns_gate_matches_post_selected_diagonal():
-    s = renormalize(
-        MultiModeState(1, FockCutoff(8), np.linspace(1.0, 0.1, 9) * (1 + 0.3j))
-    )
-    result = ns_gate(s, m=3, apply_compensating_phase=True)
-    diag = ns_post_selected_diagonal(3, 8, apply_compensating_phase=True)
-    projected = s.amplitudes * diag
-    projected /= np.linalg.norm(projected)
-    assert np.allclose(result.output.amplitudes, projected, atol=1e-12)
+    # the package reads the diagonal off the propagator; the oracle is the
+    # closed-form cosine
+    for m in range(5):
+        for n_max in (2, 8, 20, 30):
+            amps = np.linspace(1.0, 0.1, n_max + 1) * (1 + 0.3j)
+            s = renormalize(MultiModeState(1, FockCutoff(n_max), amps))
+            diag = ns_diagonal_closed_form(m, n_max)
+            assert np.abs(ns_post_selected_diagonal(m, n_max) - diag).max() < 1e-12
+            result = ns_gate(s, m=m, apply_compensating_phase=True)
+            projected = s.amplitudes * diag
+            assert result.success_probability == pytest.approx(
+                np.vdot(projected, projected).real, abs=1e-12
+            )
+            projected *= (-1.0) ** np.arange(n_max + 1) / np.linalg.norm(projected)
+            assert np.abs(result.output.amplitudes - projected).max() < 1e-12
 
 
-def test_ns_gate_ideal_action():
-    s = uniform_superposition()
-    out = ns_gate_ideal(s)
-    assert np.isclose(out.amplitude([2]), -s.amplitude([2]))
-    assert np.isclose(out.amplitude([0]), s.amplitude([0]))
-    assert np.isclose(out.amplitude([1]), s.amplitude([1]))
+def test_ns_gate_propagates_once(monkeypatch):
+    calls = []
+
+    def counting(s, p):
+        calls.append(p.time)
+        return jcm_propagate(s, p)
+
+    monkeypatch.setattr(jcm, "jcm_propagate", counting)
+    for m in range(3):
+        before = len(calls)
+        result = ns_gate(uniform_superposition(), m=m)
+        assert calls[before:] == [ns_gate_times(1.0, m)]
+        # c(m) and d(m) come from that same propagation
+        assert (result.c_m, result.d_m) == cm_dm(m)
 
 
 def test_ns_gate_m3_consistent_with_ideal():
     s = uniform_superposition()
     heralded = ns_gate(s, m=3, apply_compensating_phase=True).output
-    ideal = ns_gate_ideal(s)
+    ideal = s.amplitudes * np.where(np.arange(s.cutoff.dim) == 2, -1.0, 1.0)
     _, d = cm_dm(3)
     # |0> and |2> sectors agree exactly after aligning the normalizations;
     # the |1> sector is scaled by |d(3)|
-    ratio = heralded.amplitude([0]) / ideal.amplitude([0])
-    assert np.isclose(heralded.amplitude([2]), ratio * ideal.amplitude([2]), atol=1e-12)
-    assert np.isclose(
-        heralded.amplitude([1]), ratio * abs(d) * ideal.amplitude([1]), atol=1e-12
-    )
-
-
-def test_atom_state_normalization_flag():
-    assert AtomState(1.0, 0.0).is_normalized
-    assert not AtomState(1.0, 1.0).is_normalized
+    ratio = heralded.amplitude([0]) / ideal[0]
+    assert np.isclose(heralded.amplitude([2]), ratio * ideal[2], atol=1e-12)
+    assert np.isclose(heralded.amplitude([1]), ratio * abs(d) * ideal[1], atol=1e-12)

@@ -36,6 +36,8 @@ from .linear_optics import csf_truth_table
 from .loop_circuit import (
     LoopPhase,
     LoopSchedule,
+    LoopTimingReport,
+    ProtocolTrace,
     canonical_schedule,
     run_loop_protocol,
     timing_report,
@@ -68,28 +70,33 @@ def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
-def _csv(header: list[str], rows: list[list[float]]) -> str:
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(x) for x in row) for row in rows)
-    return "\n".join(lines) + "\n"
+def _emit(args, results) -> None:
+    """Write the run's record: CSV of ``results["rows"]``, or the JSON envelope.
 
-
-def _emit(args, command: str, config: dict, results: dict, csv_text: str | None) -> None:
-    if getattr(args, "format", "json") == "csv" and csv_text is not None:
-        text = csv_text
+    ``results`` is a dict or a library dataclass, reduced by :func:`_jsonify`.
+    The configuration echo is every parsed flag under its argparse name,
+    ``None`` when not given, except ``command``, ``format`` and ``out``.
+    """
+    if getattr(args, "format", "json") == "csv":
+        rows = results["rows"]
+        lines = [",".join(rows[0])]
+        lines.extend(",".join(_fmt(x) for x in row.values()) for row in rows)
+        text = "\n".join(lines) + "\n"
     else:
+        config = {
+            k: v for k, v in vars(args).items() if k not in ("command", "format", "out")
+        }
         record = {
             "schema": SCHEMA_VERSION,
-            "command": command,
+            "command": args.command,
             "config": _jsonify(config),
             "results": _jsonify(results),
             "version": __version__,
             "timestamp": datetime.now(timezone.utc).isoformat(),
         }
         text = json.dumps(record, sort_keys=True, indent=2, allow_nan=False) + "\n"
-    out = getattr(args, "out", None)
-    if out:
-        Path(out).write_text(text)
+    if args.out:
+        Path(args.out).write_text(text)
     else:
         sys.stdout.write(text)
 
@@ -97,18 +104,14 @@ def _emit(args, command: str, config: dict, results: dict, csv_text: str | None)
 # -- subcommand handlers -----------------------------------------------------
 
 
-def _cmd_table1(args) -> tuple[dict, dict, str]:
-    rows = table1()
-    results = {"rows": [{"m": m, "c2": c2, "d": d} for m, c2, d in rows]}
-    csv_text = _csv(["m", "c2", "d"], [[m, c2, d] for m, c2, d in rows])
-    return {}, results, csv_text
+def _cmd_table1(args) -> dict:
+    return {"rows": [{"m": m, "c2": c2, "d": d} for m, c2, d in table1()]}
 
 
-def _cmd_ns_gate(args) -> tuple[dict, dict, None]:
+def _cmd_ns_gate(args) -> dict:
     state = MultiModeState.from_json(Path(args.input).read_text())
     result = ns_gate(state, args.m, apply_compensating_phase=args.phase)
-    config = {"m": args.m, "input": args.input, "phase": args.phase}
-    results = {
+    return {
         "m": result.m,
         "success_probability": result.success_probability,
         "c_m": result.c_m,
@@ -116,41 +119,20 @@ def _cmd_ns_gate(args) -> tuple[dict, dict, None]:
         "d_m": result.d_m,
         "output": result.output.to_json_dict(),
     }
-    return config, results, None
 
 
-def _cmd_csf_verify(args) -> tuple[dict, dict, None]:
-    ns_mode = "jcm" if args.jcm_m is not None else "ideal"
-    m = args.jcm_m if args.jcm_m is not None else 3
-    rows = csf_truth_table(ns_mode=ns_mode, m=m, cutoff=args.n_max)
-    config = {"ns_mode": ns_mode, "m": m if ns_mode == "jcm" else None, "n_max": args.n_max}
-    return config, {"truth_table": rows}, None
+def _cmd_csf_verify(args) -> dict:
+    if args.jcm_m is None:
+        return {"truth_table": csf_truth_table("ideal", cutoff=args.n_max)}
+    return {"truth_table": csf_truth_table("jcm", args.jcm_m, args.n_max)}
 
 
-def _cmd_mach_zehnder(args) -> tuple[dict, dict, None]:
-    config = {
-        "alpha": complex(args.alpha),
-        "theta": args.theta,
-        "m": args.m,
-        "shots": args.shots,
-        "seed": args.seed,
+def _cmd_mach_zehnder(args) -> dict:
+    cavity = cavity_ns_output(args.alpha, args.m, args.n_max)
+    stats = detector_statistics(mach_zehnder(cavity.state, args.alpha, args.theta))
+    results = {
         "n_max": args.n_max,
-    }
-    response = f_functions(args.theta, complex(args.alpha))
-    cavity = cavity_ns_output(complex(args.alpha), args.m, args.n_max)
-    out_state = mach_zehnder(cavity.state, complex(args.alpha), args.theta)
-    stats = detector_statistics(out_state)
-    results: dict = {
-        "n_max": args.n_max,
-        "response": {
-            "theta": response.theta,
-            "f1": response.f1,
-            "f2": response.f2,
-            "f3": response.f3,
-            "f4": response.f4,
-            "mu1": response.mu1,
-            "mu2": response.mu2,
-        },
+        "response": f_functions(args.theta, args.alpha),
         "cavity_error_mass": cavity.error_mass,
         "exact": {
             "marginal_d1": stats.marginal_d1,
@@ -160,62 +142,38 @@ def _cmd_mach_zehnder(args) -> tuple[dict, dict, None]:
         },
     }
     if args.shots > 0:
-        report = sample_conditioned(
-            stats, args.shots, args.seed, complex(args.alpha), args.m, args.theta
+        results["monte_carlo"] = sample_conditioned(
+            stats, args.shots, args.seed, args.alpha, args.theta
         )
-        results["monte_carlo"] = {
-            "seed": report.seed,
-            "shots": report.shots,
-            "d1_counts": report.d1_counts,
-            "d2_counts": report.d2_counts,
-            "conditioned_d1_counts": report.conditioned_d1_counts,
-            "d2_one_frequency": report.d2_one_frequency,
-            "d2_one_probability_exact": report.d2_one_probability_exact,
-            "conditioned_d1_exact": report.conditioned_d1_exact,
-            "leading_order_estimate": report.leading_order_estimate,
-        }
-    return config, results, None
+    return results
 
 
-def _cmd_fig3_sweep(args) -> tuple[dict, dict, str]:
-    thetas = [2 * math.pi * k / args.steps for k in range(args.steps)]
+def _cmd_fig3_sweep(args) -> dict:
     rows = []
-    for theta in thetas:
-        response = f_functions(theta)
-        rows.append([theta, abs(response.f1), abs(response.f2)])
-    results = {"rows": [{"theta": t, "abs_f1": a, "abs_f2": b} for t, a, b in rows]}
-    return {"steps": args.steps}, results, _csv(["theta", "abs_f1", "abs_f2"], rows)
+    for k in range(args.steps):
+        response = f_functions(2 * math.pi * k / args.steps)
+        rows.append(
+            {"theta": response.theta, "abs_f1": abs(response.f1), "abs_f2": abs(response.f2)}
+        )
+    return {"rows": rows}
 
 
-def _cmd_fig4_pmf(args) -> tuple[dict, dict, str]:
-    ns = list(range(args.max_n + 1))
-    rows = [[n, poisson_pmf(n, args.mu1), poisson_pmf(n, args.mu2)] for n in ns]
-    results = {
-        "mu1": args.mu1,
-        "mu2": args.mu2,
-        "rows": [{"n": n, "p_mu1": p1, "p_mu2": p2} for n, p1, p2 in rows],
-    }
-    return {"mu1": args.mu1, "mu2": args.mu2, "max_n": args.max_n}, results, _csv(
-        ["n", "p_mu1", "p_mu2"], rows
-    )
+def _cmd_fig4_pmf(args) -> dict:
+    rows = [
+        {"n": n, "p_mu1": poisson_pmf(n, args.mu1), "p_mu2": poisson_pmf(n, args.mu2)}
+        for n in range(args.max_n + 1)
+    ]
+    return {"mu1": args.mu1, "mu2": args.mu2, "rows": rows}
 
 
-def _cmd_loop_timing(args) -> tuple[dict, dict, None]:
-    report = timing_report(
+def _cmd_loop_timing(args) -> LoopTimingReport:
+    return timing_report(
         args.wavelength,
         args.kappa,
         loss_pc=args.loss_pc,
         loss_pbs=args.loss_pbs,
         achievable_pc_response=args.pc_response,
     )
-    config = {
-        "wavelength": args.wavelength,
-        "kappa": args.kappa,
-        "loss_pc": args.loss_pc,
-        "loss_pbs": args.loss_pbs,
-        "pc_response": args.pc_response,
-    }
-    return config, report.to_json_dict(), None
 
 
 def _load_schedule(source: str) -> LoopSchedule:
@@ -238,21 +196,12 @@ def _load_schedule(source: str) -> LoopSchedule:
     return LoopSchedule(tuple(LoopPhase(p["pc_on"], float(p["duration"])) for p in phases))
 
 
-def _cmd_loop_protocol(args) -> tuple[dict, dict, None]:
+def _cmd_loop_protocol(args) -> ProtocolTrace:
     if args.schedule is not None:
         schedule = _load_schedule(args.schedule)
-        config = {"schedule": args.schedule}
     else:
         schedule = canonical_schedule(args.kappa, args.m)
-        config = {"kappa": args.kappa, "m": args.m}
-    trace = run_loop_protocol(schedule, input_polarization=args.polarization)
-    results = {
-        "steps": [dataclasses.asdict(step) for step in trace.steps],
-        "exit_phase": trace.exit_phase,
-        "interaction_window": trace.interaction_window,
-    }
-    config["polarization"] = args.polarization
-    return config, results, None
+    return run_loop_protocol(schedule, input_polarization=args.polarization)
 
 
 # -- parser -------------------------------------------------------------------
@@ -312,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--schedule", default=None, help="JSON file or inline JSON phase list")
     p.add_argument("--kappa", type=float, default=None)
     p.add_argument("--m", type=int, default=None)
-    p.add_argument("--polarization", default="H")
+    p.add_argument("--polarization", choices=["H", "V"], default="H")
     p.add_argument("--out")
 
     return parser
@@ -353,8 +302,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("provide --schedule, or both --kappa and --m for the canonical one")
 
     try:
-        config, results, csv_text = _HANDLERS[args.command](args)
-        _emit(args, args.command, config, results, csv_text)
+        _emit(args, _HANDLERS[args.command](args))
     except (SimulatorError, ValueError, OSError, KeyError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

@@ -145,6 +145,8 @@ class MultiModeState:
         amps = np.array(
             [complex(re, im) for re, im in payload["amplitudes"]], dtype=np.complex128
         )
+        if not np.isfinite(amps).all():
+            raise ValueError("state amplitudes must be finite (no NaN or infinity)")
         return cls(int(payload["mode_count"]), FockCutoff(int(payload["n_max"])), amps)
 
     def to_json(self) -> str:

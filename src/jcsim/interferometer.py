@@ -169,9 +169,6 @@ class ConditionedReport:
 
     shots: int
     seed: int
-    alpha: complex
-    m: int
-    theta: float
     d1_counts: np.ndarray                # unconditioned D1 histogram
     d2_counts: np.ndarray                # unconditioned D2 histogram
     conditioned_d1_counts: np.ndarray    # D1 histogram over shots with D2 = 1
@@ -186,7 +183,6 @@ def sample_conditioned(
     shots: int,
     seed: int,
     alpha: complex,
-    m: int,
     theta: float,
 ) -> ConditionedReport:
     """Draw a detection record from ``stats`` and aggregate the D2 = 1 slice.
@@ -197,8 +193,8 @@ def sample_conditioned(
     a fixed seed and the cost does not depend on ``shots``.  The
     leading-order estimate of the conditioning frequency is the dominant
     branch weight 1/4 times the Poisson probability of one photon at that
-    branch's mean; ``alpha``, ``m`` and ``theta`` are the run the statistics
-    came from.
+    branch's mean; ``alpha`` and ``theta`` are the run the statistics came
+    from.
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
@@ -224,9 +220,6 @@ def sample_conditioned(
     return ConditionedReport(
         shots=shots,
         seed=seed,
-        alpha=complex(alpha),
-        m=m,
-        theta=theta,
         d1_counts=counts.sum(axis=1),
         d2_counts=d2_counts,
         conditioned_d1_counts=counts[:, 1],
@@ -253,4 +246,4 @@ def conditional_run(
     """
     cavity = cavity_ns_output(alpha, m, cutoff)
     stats = detector_statistics(mach_zehnder(cavity.state, alpha, theta))
-    return sample_conditioned(stats, shots, seed, alpha, m, theta)
+    return sample_conditioned(stats, shots, seed, alpha, theta)

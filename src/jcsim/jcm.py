@@ -63,10 +63,12 @@ class JCMParams:
     time: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.kappa_abs <= 0:
-            raise ValueError(f"kappa_abs must be positive, got {self.kappa_abs}")
-        if self.time < 0:
-            raise ValueError(f"time must be non-negative, got {self.time}")
+        if not 0 < self.kappa_abs < math.inf:
+            raise ValueError(f"kappa_abs must be positive and finite, got {self.kappa_abs}")
+        if not math.isfinite(self.kappa_phase):
+            raise ValueError(f"kappa_phase must be finite, got {self.kappa_phase}")
+        if not 0 <= self.time < math.inf:
+            raise ValueError(f"time must be non-negative and finite, got {self.time}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -212,35 +212,16 @@ class LoopTimingReport:
     loss_pbs: float
     survival_log10_m1: float
     survival_log10_m3: float
+    survival_m1_scientific: str
+    survival_m3_scientific: str
+    pc_fast_enough: bool
 
-    @property
-    def pc_fast_enough(self) -> bool:
-        return self.achievable_pc_response <= self.pc_response_required
 
-    @staticmethod
-    def _scientific(log10_value: float) -> str:
-        exponent = math.floor(log10_value)
-        mantissa = 10.0 ** (log10_value - exponent)
-        return f"{mantissa:.4f}e{exponent:+d}"
-
-    def to_json_dict(self) -> dict:
-        return {
-            "wavelength": self.wavelength,
-            "cavity_width": self.cavity_width,
-            "pc_response_required": self.pc_response_required,
-            "achievable_pc_response": self.achievable_pc_response,
-            "pc_fast_enough": self.pc_fast_enough,
-            "gate_time_m1": self.gate_time_m1,
-            "gate_time_m3": self.gate_time_m3,
-            "round_trips_m1": self.round_trips_m1,
-            "round_trips_m3": self.round_trips_m3,
-            "loss_pc": self.loss_pc,
-            "loss_pbs": self.loss_pbs,
-            "survival_log10_m1": self.survival_log10_m1,
-            "survival_log10_m3": self.survival_log10_m3,
-            "survival_m1_scientific": self._scientific(self.survival_log10_m1),
-            "survival_m3_scientific": self._scientific(self.survival_log10_m3),
-        }
+def _scientific(log10_value: float) -> str:
+    """A power of ten given by its log10, as mantissa e exponent."""
+    exponent = math.floor(log10_value)
+    mantissa = 10.0 ** (log10_value - exponent)
+    return f"{mantissa:.4f}e{exponent:+d}"
 
 
 def timing_report(
@@ -257,8 +238,10 @@ def timing_report(
     may differ).  Survival probabilities are tracked in log10 because the
     round-trip count is of order 1e7 and the product underflows doubles.
     """
-    if not (wavelength > 0 and kappa_abs > 0):
-        raise ValueError("wavelength and kappa_abs must be positive")
+    if not (0 < wavelength < math.inf and 0 < kappa_abs < math.inf):
+        raise ValueError("wavelength and kappa_abs must be positive and finite")
+    if not 0 <= achievable_pc_response < math.inf:
+        raise ValueError("achievable_pc_response must be non-negative and finite")
     if not (0 <= loss_pc < 1 and 0 <= loss_pbs < 1):
         raise ValueError("losses must lie in [0, 1)")
     cavity_width = wavelength / 2
@@ -268,10 +251,12 @@ def timing_report(
     trips_m1 = gate_m1 / round_trip_time
     trips_m3 = gate_m3 / round_trip_time
     log_per_pass = math.log10(1 - loss_pc) + math.log10(1 - loss_pbs)
+    log_m1, log_m3 = trips_m1 * log_per_pass, trips_m3 * log_per_pass
+    pc_response_required = cavity_width / SPEED_OF_LIGHT
     return LoopTimingReport(
         wavelength=wavelength,
         cavity_width=cavity_width,
-        pc_response_required=cavity_width / SPEED_OF_LIGHT,
+        pc_response_required=pc_response_required,
         achievable_pc_response=achievable_pc_response,
         gate_time_m1=gate_m1,
         gate_time_m3=gate_m3,
@@ -279,6 +264,9 @@ def timing_report(
         round_trips_m3=trips_m3,
         loss_pc=loss_pc,
         loss_pbs=loss_pbs,
-        survival_log10_m1=trips_m1 * log_per_pass,
-        survival_log10_m3=trips_m3 * log_per_pass,
+        survival_log10_m1=log_m1,
+        survival_log10_m3=log_m3,
+        survival_m1_scientific=_scientific(log_m1),
+        survival_m3_scientific=_scientific(log_m3),
+        pc_fast_enough=achievable_pc_response <= pc_response_required,
     )

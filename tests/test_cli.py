@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from jcsim.cli import _emit, _jsonify, main
+from jcsim.cli import _emit, _jsonify, build_parser, main
 from jcsim.fock import coherent_state, renormalize
 from jcsim.interferometer import conditional_run
 
@@ -53,6 +53,58 @@ def test_table1_json_record(tmp_path, capsys):
     assert "timestamp" in record and "version" in record
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["table1"], ["fig3-sweep", "--steps", "16"], ["fig4-pmf", "--max-n", "4"]],
+    ids=["table1", "fig3-sweep", "fig4-pmf"],
+)
+def test_csv_renders_the_json_rows(argv, capsys):
+    code, csv_out, _ = run_cli(argv + ["--format", "csv"], capsys)
+    assert code == 0
+    code, json_out, _ = run_cli(argv + ["--format", "json"], capsys)
+    assert code == 0
+    rows = json.loads(json_out)["results"]["rows"]
+    header, *lines = csv_out.splitlines()
+    assert len(lines) == len(rows)
+    for line, row in zip(lines, rows):
+        cells = dict(zip(header.split(","), line.split(",")))
+        assert cells.keys() == row.keys()
+        for key, value in row.items():
+            # 6 significant digits
+            assert float(cells[key]) == pytest.approx(value, rel=5e-6, abs=0)
+
+
+README_COMMANDS = {
+    "table1": ["table1"],
+    "ns-gate": ["ns-gate", "--m", "3", "--input", "{state}", "--phase"],
+    "csf-verify": ["csf-verify"],
+    "csf-verify-jcm": ["csf-verify", "--jcm-m", "3"],
+    "mach-zehnder": [
+        "mach-zehnder", "--alpha", "0.5", "--theta", "1.5708", "--m", "3",
+        "--shots", "100000", "--seed", "7",
+    ],
+    "fig3-sweep": ["fig3-sweep", "--steps", "256"],
+    "fig4-pmf": ["fig4-pmf"],
+    "loop-timing": ["loop-timing", "--wavelength", "1.39724e-2", "--kappa", "14285.714"],
+    "loop-protocol": ["loop-protocol", "--kappa", "14285.714", "--m", "1"],
+}
+
+
+@pytest.mark.parametrize("argv", README_COMMANDS.values(), ids=README_COMMANDS.keys())
+def test_config_echoes_every_parsed_flag(argv, tmp_path, capsys):
+    argv = [str(state_file(tmp_path)) if a == "{state}" else a for a in argv]
+    parsed = vars(build_parser().parse_args(argv))
+    if "format" in parsed:
+        argv = argv + ["--format", "json"]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    config = json.loads(out)["config"]
+    flags = {k: v for k, v in parsed.items() if k not in ("command", "format", "out")}
+    assert config == json.loads(json.dumps(_jsonify(flags)))
+    given = {a[2:].replace("-", "_") for a in argv if a.startswith("--")}
+    assert given - {"format"} <= config.keys()
+
+
 def test_out_to_directory_is_runtime_error(tmp_path, capsys):
     code, out, err = run_cli(["table1", "--out", str(tmp_path)], capsys)
     assert code == 1
@@ -89,6 +141,18 @@ def test_ns_gate_bad_input_file_is_runtime_error(tmp_path, capsys):
     code, _, err = run_cli(["ns-gate", "--m", "1", "--input", str(missing)], capsys)
     assert code == 1
     assert "error" in err
+
+
+def test_ns_gate_non_finite_amplitude_is_runtime_error(tmp_path, capsys):
+    payload = json.loads(state_file(tmp_path).read_text())
+    payload["amplitudes"][1][0] = math.nan  # json writes and reads a NaN token
+    path = tmp_path / "nan_state.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run_cli(["ns-gate", "--m", "1", "--input", str(path)], capsys)
+    assert code == 1
+    assert out == ""
+    assert_one_error_line(err)
+    assert "finite" in err
 
 
 # -- csf-verify ---------------------------------------------------------------
@@ -200,7 +264,7 @@ def test_mach_zehnder_non_finite_input_is_usage_error(extra, capsys):
 
 def test_emit_refuses_nan_tokens(capsys):
     with pytest.raises(ValueError):
-        _emit(argparse.Namespace(out=None), "mach-zehnder", {}, {"x": math.nan}, None)
+        _emit(argparse.Namespace(command="mach-zehnder", out=None), {"x": math.nan})
     assert capsys.readouterr().out == ""
 
 
@@ -250,8 +314,16 @@ def test_empty_table_is_usage_error(argv, capsys):
         ["fig4-pmf", "--mu1", "nan"],
         ["fig4-pmf", "--mu2", "inf"],
         ["loop-timing", "--wavelength", "nan", "--kappa", "1e4"],
+        ["loop-timing", "--wavelength", "inf", "--kappa", "1e4"],
+        ["loop-timing", "--wavelength", "1.39724e-2", "--kappa", "1e4", "--pc-response", "nan"],
     ],
-    ids=["fig4-pmf-mu-nan", "fig4-pmf-mu-inf", "loop-timing-wavelength-nan"],
+    ids=[
+        "fig4-pmf-mu-nan",
+        "fig4-pmf-mu-inf",
+        "loop-timing-wavelength-nan",
+        "loop-timing-wavelength-inf",
+        "loop-timing-pc-response-nan",
+    ],
 )
 def test_nan_domain_is_runtime_error(argv, capsys):
     code, out, err = run_cli(argv, capsys)
@@ -343,6 +415,25 @@ def test_loop_protocol_malformed_schedule_is_runtime_error(schedule, capsys):
     assert out == ""
     assert_one_error_line(err)
     assert "schedule" in err
+
+
+def test_loop_protocol_unknown_polarization_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["loop-protocol", "--kappa", "14285.714", "--m", "1", "--polarization", "banana"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert_one_error_line(captured.err)
+
+
+def test_loop_protocol_vertical_injection_is_runtime_error(capsys):
+    code, out, err = run_cli(
+        ["loop-protocol", "--kappa", "14285.714", "--m", "1", "--polarization", "V"], capsys
+    )
+    assert code == 1
+    assert out == ""
+    assert_one_error_line(err)
+    assert "injection requires" in err
 
 
 def test_loop_protocol_needs_schedule_or_canonical_args(capsys):

@@ -112,6 +112,28 @@ def test_matches_dense_matrix_exponential(n_max, kappa_phase):
 # -- gate timing and coefficients ----------------------------------------------
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"kappa_abs": math.nan, "time": 1.0},
+        {"kappa_abs": math.inf, "time": 1.0},
+        {"kappa_abs": 0.0, "time": 1.0},
+        {"kappa_abs": 1.0, "time": math.nan},
+        {"kappa_abs": 1.0, "time": math.inf},
+        {"kappa_abs": 1.0, "time": -1.0},
+        {"kappa_abs": 1.0, "kappa_phase": math.nan, "time": 1.0},
+        {"kappa_abs": 1.0, "kappa_phase": -math.inf, "time": 1.0},
+    ],
+    ids=[
+        "kappa-nan", "kappa-inf", "kappa-zero", "time-nan", "time-inf", "time-negative",
+        "phase-nan", "phase-inf",
+    ],
+)
+def test_params_reject_non_finite_and_out_of_domain(kwargs):
+    with pytest.raises(ValueError, match="must be"):
+        JCMParams(**kwargs)
+
+
 def test_gate_times_cavity_coupling():
     kappa = (1 / 70) * 1e6
     assert ns_gate_times(kappa, 1) == pytest.approx(4.67e-4, rel=5e-3)

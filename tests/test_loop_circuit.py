@@ -148,9 +148,8 @@ def test_loss_budget_is_catastrophic_but_not_rounded_away():
     assert report.round_trips_m1 == pytest.approx(1.0e7, rel=2e-3)
     # the float underflows, the log10 bookkeeping does not
     assert report.survival_log10_m1 == pytest.approx(-221147, rel=1e-4)
-    payload = report.to_json_dict()
-    assert payload["survival_m1_scientific"].endswith("e-221147")
-    mantissa = float(payload["survival_m1_scientific"].split("e")[0])
+    assert report.survival_m1_scientific.endswith("e-221147")
+    mantissa = float(report.survival_m1_scientific.split("e")[0])
     assert 1.0 <= mantissa < 10.0
 
 
@@ -167,5 +166,15 @@ def test_report_validates_inputs():
         timing_report(math.nan, KAPPA)
     with pytest.raises(ValueError):
         timing_report(WAVELENGTH, math.nan)
+    with pytest.raises(ValueError):
+        timing_report(math.inf, KAPPA)
+    with pytest.raises(ValueError):
+        timing_report(WAVELENGTH, math.inf)
+    with pytest.raises(ValueError):
+        timing_report(WAVELENGTH, KAPPA, achievable_pc_response=math.nan)
+    with pytest.raises(ValueError):
+        timing_report(WAVELENGTH, KAPPA, achievable_pc_response=math.inf)
+    with pytest.raises(ValueError):
+        timing_report(WAVELENGTH, KAPPA, achievable_pc_response=-1e-10)
     with pytest.raises(ValueError):
         timing_report(WAVELENGTH, KAPPA, loss_pc=1.0)

@@ -24,10 +24,8 @@ from .fock import (
     MultiModeState,
     coherent_state,
     number_state,
-    overlap,
     renormalize,
     tensor,
-    vacuum,
 )
 from .jcm import (
     AtomFieldState,
@@ -42,12 +40,9 @@ from .jcm import (
 )
 from .linear_optics import (
     BeamSplitterSpec,
-    DecodeError,
     PhaseShifterSpec,
     beam_splitter,
     csf_gate,
-    decode_dual_rail,
-    encode_dual_rail,
     phase_shifter,
 )
 from .interferometer import (
@@ -67,9 +62,6 @@ from .loop_circuit import (
     LoopTimingReport,
     ProtocolViolation,
     canonical_schedule,
-    pbs_apply,
-    pockels_apply,
-    polarized_photon,
     run_loop_protocol,
     timing_report,
 )

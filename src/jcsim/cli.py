@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .errors import SimulatorError
-from .fock import MultiModeState
+from .fock import FockCutoff, MultiModeState
 from .interferometer import (
     cavity_ns_output,
     detector_statistics,
@@ -112,7 +112,7 @@ def _cmd_ns_gate(args) -> dict:
     state = MultiModeState.from_json(Path(args.input).read_text())
     result = ns_gate(state, args.m, apply_compensating_phase=args.phase)
     return {
-        "m": result.m,
+        "m": args.m,
         "success_probability": result.success_probability,
         "c_m": result.c_m,
         "c_m_squared": abs(result.c_m) ** 2,
@@ -207,6 +207,14 @@ def _cmd_loop_protocol(args) -> ProtocolTrace:
 # -- parser -------------------------------------------------------------------
 
 
+def _n_max(text: str) -> int:
+    """``--n-max``: an integer cutoff that :class:`FockCutoff` accepts."""
+    try:
+        return FockCutoff(int(text)).n_max
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="jcsim", description="Cavity sign-shift gate simulator"
@@ -225,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("csf-verify", help="truth table of the conditional sign flip")
     p.add_argument("--jcm-m", type=int, default=None, help="use the heralded gate at this m")
-    p.add_argument("--n-max", type=int, default=6)
+    p.add_argument("--n-max", type=_n_max, default=6)
     p.add_argument("--out")
 
     p = sub.add_parser("mach-zehnder", help="interferometer run with detection statistics")
@@ -234,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=3)
     p.add_argument("--shots", type=int, default=0)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--n-max", type=int, default=12)
+    p.add_argument("--n-max", type=_n_max, default=12)
     p.add_argument("--out")
 
     p = sub.add_parser("fig3-sweep", help="CSV sweep of |F1|, |F2| over theta")
@@ -303,7 +311,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         _emit(args, _HANDLERS[args.command](args))
-    except (SimulatorError, ValueError, OSError, KeyError) as exc:
+    except (SimulatorError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
     return 0

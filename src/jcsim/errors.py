@@ -1,4 +1,12 @@
-"""Exception types shared by the state-vector machinery."""
+"""Exception types shared by the state-vector machinery.
+
+Exit codes of the command line: 2 for a usage error, which argparse reports
+before any work starts (a missing flag, or a value outside a flag's domain
+such as ``--n-max 1``); 1 for a :class:`SimulatorError`, a ``ValueError``
+(input outside a function's domain, a malformed state or schedule file) or
+an ``OSError``, which ``jcsim.cli.main`` prints as one ``error:`` line.  Any
+other exception is a bug and propagates with its traceback.
+"""
 
 
 class SimulatorError(Exception):

@@ -140,32 +140,37 @@ class MultiModeState:
             "amplitudes": [[z.real, z.imag] for z in self.amplitudes],
         }
 
-    @classmethod
-    def from_json_dict(cls, payload: dict) -> "MultiModeState":
-        amps = np.array(
-            [complex(re, im) for re, im in payload["amplitudes"]], dtype=np.complex128
-        )
-        if not np.isfinite(amps).all():
-            raise ValueError("state amplitudes must be finite (no NaN or infinity)")
-        return cls(int(payload["mode_count"]), FockCutoff(int(payload["n_max"])), amps)
-
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict())
 
     @classmethod
     def from_json(cls, text: str) -> "MultiModeState":
-        return cls.from_json_dict(json.loads(text))
+        """Parse the layout :meth:`to_json` writes; anything else is a ValueError."""
+        payload = json.loads(text)
+        if not (
+            isinstance(payload, dict)
+            and type(payload.get("mode_count")) is int
+            and type(payload.get("n_max")) is int
+            and isinstance(payload.get("amplitudes"), list)
+            and all(
+                isinstance(z, list) and len(z) == 2 and all(type(x) in (int, float) for x in z)
+                for z in payload["amplitudes"]
+            )
+        ):
+            raise ValueError(
+                'a state file is a JSON object {"mode_count": int, "n_max": int, '
+                '"amplitudes": [[re, im], ...]} with numeric re and im'
+            )
+        try:
+            amps = np.array([complex(re, im) for re, im in payload["amplitudes"]])
+        except OverflowError:  # an integer beyond the float range
+            amps = np.array([math.inf])
+        if not np.isfinite(amps).all():
+            raise ValueError("state amplitudes must be finite (no NaN or infinity)")
+        return cls(payload["mode_count"], FockCutoff(payload["n_max"]), amps)
 
 
 # -- constructors --------------------------------------------------------
-
-
-def vacuum(mode_count: int, cutoff: int | FockCutoff) -> MultiModeState:
-    """The multimode vacuum |0, ..., 0>."""
-    cutoff = as_cutoff(cutoff)
-    amps = np.zeros(cutoff.dim**mode_count, dtype=np.complex128)
-    amps[0] = 1.0
-    return MultiModeState(mode_count, cutoff, amps)
 
 
 def number_state(ns: Sequence[int], cutoff: int | FockCutoff) -> MultiModeState:
@@ -203,17 +208,6 @@ def coherent_state(alpha: complex, cutoff: int | FockCutoff) -> MultiModeState:
 
 
 # -- operations -----------------------------------------------------------
-
-
-def overlap(a: MultiModeState, b: MultiModeState) -> complex:
-    """Inner product <a|b> (conjugation on ``a``)."""
-    if a.mode_count != b.mode_count or a.cutoff != b.cutoff:
-        raise DimensionMismatch(
-            f"states live in different spaces: "
-            f"({a.mode_count} modes, n_max={a.cutoff.n_max}) vs "
-            f"({b.mode_count} modes, n_max={b.cutoff.n_max})"
-        )
-    return complex(np.vdot(a.amplitudes, b.amplitudes))
 
 
 def renormalize(s: MultiModeState) -> MultiModeState:

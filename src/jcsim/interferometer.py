@@ -51,8 +51,6 @@ class CavityOutput:
     """Heralded cavity state for a weak coherent input."""
 
     state: MultiModeState
-    alpha: complex
-    m: int
     error_mass: float  # weight outside span{|0>, |1>, |2>}
 
 
@@ -65,7 +63,7 @@ def cavity_ns_output(alpha: complex, m: int, cutoff: int | FockCutoff = 12) -> C
     result = ns_gate(photons, m, apply_compensating_phase=False)
     probs = np.abs(result.output.amplitudes) ** 2
     error_mass = float(probs[3:].sum())
-    return CavityOutput(result.output, alpha, m, error_mass)
+    return CavityOutput(result.output, error_mass)
 
 
 def cat_reference(

@@ -108,19 +108,6 @@ class AtomFieldState:
     def e_block(self) -> np.ndarray:
         return self.amplitudes[self.cutoff.dim :]
 
-    def norm_squared(self) -> float:
-        return float(np.vdot(self.amplitudes, self.amplitudes).real)
-
-    def norm(self) -> float:
-        return math.sqrt(self.norm_squared())
-
-    def excitation_weights(self) -> np.ndarray:
-        """Probability mass per total-excitation block N = 0..n_max+1."""
-        weights = np.zeros(self.cutoff.dim + 1)
-        weights[: self.cutoff.dim] += np.abs(self.g_block) ** 2
-        weights[1:] += np.abs(self.e_block) ** 2
-        return weights
-
 
 def jcm_propagate(s: AtomFieldState, p: JCMParams) -> AtomFieldState:
     """Apply the exact propagator U(t) block by block."""
@@ -185,7 +172,6 @@ class NSGateResult:
 
     output: MultiModeState
     success_probability: float
-    m: int
     c_m: complex
     d_m: float
 
@@ -213,7 +199,7 @@ def ns_gate(
         signs = (-1.0) ** np.arange(input_state.cutoff.dim)
         output = output.with_amplitudes(output.amplitudes * signs)
     c, d = _one_photon_sector(evolved)
-    return NSGateResult(output, success_probability, m, c, d)
+    return NSGateResult(output, success_probability, c, d)
 
 
 def table1() -> list[tuple[int, float, float]]:

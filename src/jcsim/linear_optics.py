@@ -35,7 +35,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import jcm
-from .errors import DimensionMismatch, ModeIndexOutOfRange, SimulatorError
+from .errors import DimensionMismatch, ModeIndexOutOfRange
 from .fock import FockCutoff, MultiModeState, number_state, renormalize
 
 
@@ -57,14 +57,6 @@ class PhaseShifterSpec:
 
     mode: int
     theta: float
-
-
-class DecodeError(SimulatorError):
-    """State leaks out of the one-photon-per-pair code space."""
-
-    def __init__(self, message: str, leakage: float):
-        super().__init__(message)
-        self.leakage = leakage
 
 
 def _sector_blocks(max_total: int) -> Iterator[np.ndarray]:
@@ -135,46 +127,10 @@ def phase_shifter(s: MultiModeState, spec: PhaseShifterSpec) -> MultiModeState:
     return s.with_amplitudes(tens.reshape(-1))
 
 
-# -- dual-rail encoding ----------------------------------------------------
-
+# -- conditional sign flip ---------------------------------------------------
 
 #: Rail occupations of logical bit b: |0bar> = |0>|1>, |1bar> = |1>|0>.
 _RAILS = ((0, 1), (1, 0))
-
-
-def encode_dual_rail(bit: int, cutoff: int | FockCutoff = 12) -> MultiModeState:
-    """|0bar> -> |0>|1>, |1bar> -> |1>|0> on a fresh two-mode pair."""
-    if bit not in (0, 1):
-        raise ValueError(f"logical bit must be 0 or 1, got {bit}")
-    return number_state(_RAILS[bit], cutoff)
-
-
-@dataclass(frozen=True)
-class DecodedQubit:
-    zero_amplitude: complex
-    one_amplitude: complex
-    leakage: float
-
-
-def decode_dual_rail(s: MultiModeState, tolerance: float = 1e-9) -> DecodedQubit:
-    """Read the logical amplitudes off a two-mode pair.
-
-    Raises :class:`DecodeError` (with the leakage attached) when the weight
-    outside the single-photon-per-pair subspace exceeds ``tolerance``.
-    """
-    if s.mode_count != 2:
-        raise DimensionMismatch("decoding expects a state on exactly the rail pair")
-    zero_amp, one_amp = (s.amplitude(rails) for rails in _RAILS)
-    leakage = s.norm_squared() - abs(zero_amp) ** 2 - abs(one_amp) ** 2
-    leakage = max(0.0, float(leakage))
-    if leakage > tolerance:
-        raise DecodeError(
-            f"leakage {leakage:.3e} exceeds tolerance {tolerance:.3e}", leakage
-        )
-    return DecodedQubit(zero_amp, one_amp, leakage)
-
-
-# -- conditional sign flip ---------------------------------------------------
 
 # Mode layout of the two-qubit register: (x1, x2, y1, y2).
 _RAIL_X1, _RAIL_X2, _RAIL_Y1, _RAIL_Y2 = range(4)

@@ -1,12 +1,15 @@
-"""Polarization loop circuit: splitter/cell operators, schedule, feasibility.
+"""Polarization loop circuit: splitter/cell label maps, schedule, feasibility.
 
 The loop lives on a single photon's (path, polarization) degrees of
 freedom: path a is the outside port, path b the intracavity loop; the
 polarizing splitter transmits V along its path and reflects H across
-paths, and the switchable cell swaps V and H while powered.  A run is a
-three-phase schedule (inject, circulate, extract) executed as a checked
-state machine; the circulation window is where the atom-field interaction
-of :mod:`jcsim.jcm` happens and is only labeled here, not re-simulated.
+paths, and the switchable cell swaps V and H while powered.  Both elements
+permute the four basis labels (a|b, V|H) without mixing them, so a photon
+that starts on one label stays on exactly one, and the run tracks that
+label rather than an amplitude vector.  A run is a three-phase schedule
+(inject, circulate, extract) executed as a checked state machine; the
+circulation window is where the atom-field interaction of :mod:`jcsim.jcm`
+happens and is only labeled here, not re-simulated.
 
 The timing report turns a cavity geometry into the numbers that decide
 feasibility: the cell response time must beat one mirror-to-mirror flight
@@ -19,58 +22,25 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import SimulatorError
 from .jcm import ns_gate_times
 
 SPEED_OF_LIGHT = 2.998e8  # m/s
 
-PATH_A, PATH_B = 0, 1  # outside port, intracavity loop
-POL_V, POL_H = 0, 1
-
-#: Polarizing splitter on the (path, polarization) basis: V keeps its path,
-#: H swaps paths.  Basis order (a,V), (a,H), (b,V), (b,H).
-_PBS = np.array(
-    [
-        [1, 0, 0, 0],
-        [0, 0, 0, 1],
-        [0, 0, 1, 0],
-        [0, 1, 0, 0],
-    ],
-    dtype=np.complex128,
-)
-
-#: Powered cell: V <-> H on each path.
-_PC_ON = np.array(
-    [
-        [0, 1, 0, 0],
-        [1, 0, 0, 0],
-        [0, 0, 0, 1],
-        [0, 0, 1, 0],
-    ],
-    dtype=np.complex128,
-)
+#: Path and polarization partners: a <-> b, V <-> H.
+_OTHER = {"a": "b", "b": "a", "V": "H", "H": "V"}
 
 
-def polarized_photon(path: int, c_v: complex, c_h: complex) -> np.ndarray:
-    """Amplitudes (shape (2, 2), axes path then polarization) of one photon."""
-    state = np.zeros((2, 2), dtype=np.complex128)
-    state[path, POL_V] = c_v
-    state[path, POL_H] = c_h
-    return state
+def _pbs(label: tuple[str, str]) -> tuple[str, str]:
+    """The splitter keeps V on its path and sends H to the other path."""
+    path, pol = label
+    return label if pol == "V" else (_OTHER[path], pol)
 
 
-def pbs_apply(state: np.ndarray) -> np.ndarray:
-    """V components keep their path, H components swap paths."""
-    return (_PBS @ state.reshape(4)).reshape(2, 2)
-
-
-def pockels_apply(state: np.ndarray, on: bool) -> np.ndarray:
-    """Swap V and H amplitudes while powered; identity otherwise."""
-    if not on:
-        return state.copy()
-    return (_PC_ON @ state.reshape(4)).reshape(2, 2)
+def _pockels(label: tuple[str, str], on: bool) -> tuple[str, str]:
+    """The powered cell swaps V and H; unpowered it leaves the label alone."""
+    path, pol = label
+    return (path, _OTHER[pol]) if on else label
 
 
 class ProtocolViolation(SimulatorError):
@@ -128,12 +98,6 @@ class ProtocolTrace:
     interaction_window: float  # circulation duration handed to the atom-field gate
 
 
-def _locate(state: np.ndarray) -> tuple[str, str]:
-    """Path/polarization labels of a basis-state photon."""
-    idx = int(np.argmax(np.abs(state.reshape(4))))
-    return "ab"[idx // 2], "VH"[idx % 2]
-
-
 def run_loop_protocol(
     schedule: LoopSchedule, input_polarization: str = "H"
 ) -> ProtocolTrace:
@@ -151,17 +115,16 @@ def run_loop_protocol(
 
     inject, circulate, extract = schedule.phases
     steps: list[TraceStep] = []
+    label = ("a", "H")
 
-    def record(phase: int, element: str, pc_on: bool, state: np.ndarray) -> None:
-        path, pol = _locate(state)
-        steps.append(TraceStep(phase, element, pc_on, path, pol))
+    def step(phase: int, element: str, pc_on: bool) -> None:
+        nonlocal label
+        label = _pbs(label) if element == "pbs" else _pockels(label, pc_on)
+        steps.append(TraceStep(phase, element, pc_on, *label))
 
     # Phase 1: splitter steers H into the loop, powered cell rotates it to V.
-    state = polarized_photon(PATH_A, 0.0, 1.0)
-    state = pbs_apply(state)
-    record(1, "pbs", inject.pc_on, state)
-    state = pockels_apply(state, inject.pc_on)
-    record(1, "pc", inject.pc_on, state)
+    step(1, "pbs", inject.pc_on)
+    step(1, "pc", inject.pc_on)
     if not inject.pc_on:
         raise ProtocolViolation(
             "cell off during injection: the photon stays |H> and the splitter "
@@ -170,28 +133,22 @@ def run_loop_protocol(
 
     # Phase 2: V circulates across the splitter; a powered cell would flip
     # it to H and eject it mid-gate.
-    state = pbs_apply(state)
-    record(2, "pbs", circulate.pc_on, state)
-    state = pockels_apply(state, circulate.pc_on)
-    record(2, "pc", circulate.pc_on, state)
+    step(2, "pbs", circulate.pc_on)
+    step(2, "pc", circulate.pc_on)
     if circulate.pc_on:
         raise ProtocolViolation(
             "cell on during circulation: |V> flips to |H> and is ejected mid-gate"
         )
 
     # Phase 3: powered cell rotates V back to H, the splitter ejects it.
-    state = pockels_apply(state, extract.pc_on)
-    record(3, "pc", extract.pc_on, state)
+    step(3, "pc", extract.pc_on)
     if not extract.pc_on:
         raise ProtocolViolation(
             "cell off during extraction: |V> keeps circulating, the photon is trapped"
         )
-    state = pbs_apply(state)
-    record(3, "pbs", extract.pc_on, state)
+    step(3, "pbs", extract.pc_on)
 
-    path, pol = _locate(state)
-    residual = float(np.abs(state[PATH_B]).sum())
-    if (path, pol) != ("a", "H") or residual > 0:
+    if label != ("a", "H"):
         raise ProtocolViolation("extraction left amplitude inside the loop")
     return ProtocolTrace(tuple(steps), exit_phase=3, interaction_window=circulate.duration)
 

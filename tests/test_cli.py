@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from jcsim import cli
 from jcsim.cli import _emit, _jsonify, build_parser, main
 from jcsim.fock import coherent_state, renormalize
 from jcsim.interferometer import conditional_run
@@ -153,6 +154,36 @@ def test_ns_gate_non_finite_amplitude_is_runtime_error(tmp_path, capsys):
     assert out == ""
     assert_one_error_line(err)
     assert "finite" in err
+
+
+LAYOUT = '"amplitudes": [[re, im], ...]'
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ({"mode_count": 1, "n_max": 2, "amplitudes": [["1", 0], [0, 0], [0, 0]]}, LAYOUT),
+        ([[1, 0], [0, 0], [0, 0]], LAYOUT),
+        ({"mode_count": 1, "amplitudes": [[1, 0], [0, 0], [0, 0]]}, LAYOUT),
+        ({"mode_count": 1, "n_max": 2, "amplitudes": [[1, 0, 0], [0, 0], [0, 0]]}, LAYOUT),
+        ({"mode_count": 1, "n_max": 2, "amplitudes": [[10**400, 0], [0, 0], [0, 0]]}, "finite"),
+    ],
+    ids=[
+        "string-amplitude",
+        "top-level-list",
+        "missing-n-max",
+        "three-element-pair",
+        "integer-beyond-float-range",
+    ],
+)
+def test_ns_gate_malformed_state_file_is_runtime_error(payload, message, tmp_path, capsys):
+    path = tmp_path / "bad_state.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run_cli(["ns-gate", "--m", "1", "--input", str(path)], capsys)
+    assert code == 1
+    assert out == ""
+    assert_one_error_line(err)
+    assert message in err
 
 
 # -- csf-verify ---------------------------------------------------------------
@@ -440,6 +471,35 @@ def test_loop_protocol_needs_schedule_or_canonical_args(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["loop-protocol"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["csf-verify", "--n-max", "1"],
+        ["csf-verify", "--n-max", "six"],
+        ["mach-zehnder", "--alpha", "0.5", "--theta", "1", "--n-max", "1"],
+        ["mach-zehnder", "--alpha", "0.5", "--theta", "1", "--n-max", "-3"],
+    ],
+    ids=["csf-verify-one", "csf-verify-not-int", "mach-zehnder-one", "mach-zehnder-negative"],
+)
+def test_n_max_below_two_is_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert_one_error_line(captured.err)
+    assert "--n-max" in captured.err
+
+
+def test_handler_bug_is_not_reported_as_user_error(monkeypatch):
+    def broken():
+        return {}["mistyped key"]
+
+    monkeypatch.setattr(cli, "table1", broken)
+    with pytest.raises(KeyError):
+        main(["table1"])
 
 
 def test_unknown_command_is_usage_error(capsys):

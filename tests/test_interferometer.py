@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
-from jcsim.fock import coherent_state, number_state, renormalize, tensor, vacuum
+from jcsim.fock import coherent_state, number_state, renormalize, tensor
 from jcsim.interferometer import (
     cat_reference,
     cavity_ns_output,
@@ -74,7 +74,7 @@ def cavity_oracle(alpha, m, n_max):
 
 def test_cavity_output_vacuum_input():
     out = cavity_ns_output(0.0, 3)
-    assert np.allclose(out.state.amplitudes, vacuum(1, 12).amplitudes)
+    assert np.allclose(out.state.amplitudes, number_state([0], 12).amplitudes)
     assert out.error_mass == 0.0
 
 
@@ -117,7 +117,7 @@ def test_error_mass_over_alpha_squared_bounded():
 
 def test_cat_reference_vacuum_limit():
     out = cat_reference(0.0)
-    assert np.allclose(out.amplitudes, vacuum(1, 12).amplitudes)
+    assert np.allclose(out.amplitudes, number_state([0], 12).amplitudes)
 
 
 def test_cat_reference_small_alpha_amplitudes():
@@ -216,7 +216,7 @@ def test_bunching_suppresses_coincidences_at_quarter_turn():
 
 def test_detector_statistics_poisson_arm():
     arm = renormalize(coherent_state(math.sqrt(0.4665), 12))
-    stats = detector_statistics(tensor(arm, vacuum(1, 12)))
+    stats = detector_statistics(tensor(arm, number_state([0], 12)))
     assert abs(stats.marginal_d1[1] - 0.2926) < 5e-5
     assert abs(stats.marginal_d1[2] - 0.06825) < 5e-5
     assert stats.marginal_d2[0] == pytest.approx(1.0, abs=1e-12)
@@ -224,13 +224,13 @@ def test_detector_statistics_poisson_arm():
 
 def test_detector_statistics_weak_arm():
     arm = renormalize(coherent_state(math.sqrt(0.03349), 12))
-    stats = detector_statistics(tensor(arm, vacuum(1, 12)))
+    stats = detector_statistics(tensor(arm, number_state([0], 12)))
     assert abs(stats.marginal_d1[1] - 0.03239) < 5e-5
     assert abs(stats.marginal_d1[2] - 0.0005424) < 5e-5
 
 
 def test_detector_statistics_vacuum():
-    stats = detector_statistics(vacuum(2, 6))
+    stats = detector_statistics(number_state([0, 0], 6))
     assert stats.marginal_d1[0] == 1.0
     assert stats.marginal_d2[0] == 1.0
 

@@ -14,19 +14,15 @@ from jcsim.fock import (
     number_state,
     renormalize,
     tensor,
-    vacuum,
 )
 from jcsim.jcm import cm_dm
 from jcsim.linear_optics import (
     BeamSplitterSpec,
-    DecodeError,
     PhaseShifterSpec,
     _sector_blocks,
     beam_splitter,
     csf_gate,
     csf_truth_table,
-    decode_dual_rail,
-    encode_dual_rail,
     logical_basis_state,
     phase_shifter,
 )
@@ -55,8 +51,8 @@ def test_two_photon_bunching():
 
 
 def test_vacuum_invariant():
-    out = beam_splitter(vacuum(2, 4), BS01)
-    assert np.allclose(out.amplitudes, vacuum(2, 4).amplitudes)
+    out = beam_splitter(number_state([0, 0], 4), BS01)
+    assert np.allclose(out.amplitudes, number_state([0, 0], 4).amplitudes)
 
 
 @pytest.mark.parametrize("n_max", [6, 12, 20, 30])
@@ -126,7 +122,7 @@ def test_beam_splitter_on_selected_modes_of_larger_register():
 
 def test_beam_splitter_mode_out_of_range():
     with pytest.raises(ModeIndexOutOfRange):
-        beam_splitter(vacuum(2, 3), BeamSplitterSpec(0, 5))
+        beam_splitter(number_state([0, 0], 3), BeamSplitterSpec(0, 5))
 
 
 def test_spec_rejects_equal_modes():
@@ -187,32 +183,6 @@ def test_coherent_law_complex_pair():
     assert np.isclose(report.predicted_plus, (0.5 + 0.5j) / math.sqrt(2))
     assert np.isclose(report.predicted_minus, (0.5 - 0.5j) / math.sqrt(2))
     assert report.deviation_norm < 1e-8
-
-
-# -- dual rail ------------------------------------------------------------------------
-
-
-def test_encode_zero():
-    s = encode_dual_rail(0, 4)
-    assert s.amplitude([0, 1]) == 1.0
-
-
-def test_encode_decode_roundtrip():
-    decoded = decode_dual_rail(encode_dual_rail(1, 4))
-    assert decoded.zero_amplitude == 0.0
-    assert decoded.one_amplitude == 1.0
-    assert decoded.leakage == 0.0
-
-
-def test_decode_rejects_out_of_code_space():
-    with pytest.raises(DecodeError) as err:
-        decode_dual_rail(number_state([2, 0], 4))
-    assert err.value.leakage == pytest.approx(1.0)
-
-
-def test_encode_rejects_non_bit():
-    with pytest.raises(ValueError):
-        encode_dual_rail(2, 4)
 
 
 # -- conditional sign flip -------------------------------------------------------------

@@ -1,21 +1,16 @@
 import math
+from dataclasses import astuple
 
-import numpy as np
 import pytest
 
 from jcsim.jcm import ns_gate_times
 from jcsim.loop_circuit import (
-    PATH_A,
-    PATH_B,
-    POL_H,
-    POL_V,
     LoopPhase,
     LoopSchedule,
     ProtocolViolation,
+    _pbs,
+    _pockels,
     canonical_schedule,
-    pbs_apply,
-    pockels_apply,
-    polarized_photon,
     run_loop_protocol,
     timing_report,
 )
@@ -24,45 +19,27 @@ KAPPA = (1 / 70) * 1e6
 WAVELENGTH = 1.39724e-2
 
 
-# -- elementary operators ---------------------------------------------------------
+# -- elementary label maps -------------------------------------------------------
 
 
 def test_pbs_keeps_vertical_on_path():
-    out = pbs_apply(polarized_photon(PATH_A, 1.0, 0.0))
-    assert out[PATH_A, POL_V] == 1.0
-    assert np.count_nonzero(out) == 1
+    assert _pbs(("a", "V")) == ("a", "V")
+    assert _pbs(("b", "V")) == ("b", "V")
 
 
 def test_pbs_reflects_horizontal_across_paths():
-    out = pbs_apply(polarized_photon(PATH_A, 0.0, 1.0))
-    assert out[PATH_B, POL_H] == 1.0
-
-
-def test_pbs_separates_superposition():
-    c_v, c_h = 0.6, 0.8j
-    out = pbs_apply(polarized_photon(PATH_A, c_v, c_h))
-    assert out[PATH_A, POL_V] == c_v
-    assert out[PATH_B, POL_H] == c_h
+    assert _pbs(("a", "H")) == ("b", "H")
+    assert _pbs(("b", "H")) == ("a", "H")
 
 
 def test_pockels_swaps_polarizations_when_on():
-    out = pockels_apply(polarized_photon(PATH_B, 0.0, 1.0), on=True)
-    assert out[PATH_B, POL_V] == 1.0
+    assert _pockels(("b", "H"), on=True) == ("b", "V")
+    assert _pockels(("a", "V"), on=True) == ("a", "H")
 
 
 def test_pockels_identity_when_off():
-    state = polarized_photon(PATH_A, 1.0, 0.0)
-    assert np.array_equal(pockels_apply(state, on=False), state)
-
-
-def test_operators_unitary_and_involutive():
-    rng = np.random.default_rng(5)
-    state = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    state /= np.linalg.norm(state)
-    for op in (pbs_apply, lambda s: pockels_apply(s, on=True)):
-        once = op(state)
-        assert abs(np.linalg.norm(once) - 1.0) < 1e-15
-        assert np.abs(op(once) - state).max() < 1e-15
+    for label in (("a", "V"), ("a", "H"), ("b", "V"), ("b", "H")):
+        assert _pockels(label, on=False) == label
 
 
 # -- protocol ----------------------------------------------------------------------
@@ -79,6 +56,20 @@ def test_canonical_schedule_runs_to_extraction():
         # exactly one exit: no earlier step puts the photon outside as H
         outside = [s for s in trace.steps[:-1] if s.path == "a"]
         assert outside == []
+
+
+def test_canonical_trace_steps_the_photon_label():
+    # Every splitter and cell action: H crosses paths at the splitter, V keeps
+    # its path; the powered cell swaps V and H, the unpowered one does nothing.
+    trace = run_loop_protocol(canonical_schedule(KAPPA, 1))
+    assert [astuple(step) for step in trace.steps] == [
+        (1, "pbs", True, "b", "H"),
+        (1, "pc", True, "b", "V"),
+        (2, "pbs", False, "b", "V"),
+        (2, "pc", False, "b", "V"),
+        (3, "pc", True, "b", "H"),
+        (3, "pbs", True, "a", "H"),
+    ]
 
 
 def test_cell_off_at_injection_ejects_photon():

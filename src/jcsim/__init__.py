@@ -29,7 +29,6 @@ from .fock import (
 )
 from .jcm import (
     AtomFieldState,
-    AtomState,
     JCMParams,
     NSGateResult,
     cm_dm,
@@ -38,13 +37,7 @@ from .jcm import (
     ns_gate_times,
     table1,
 )
-from .linear_optics import (
-    BeamSplitterSpec,
-    PhaseShifterSpec,
-    beam_splitter,
-    csf_gate,
-    phase_shifter,
-)
+from .linear_optics import beam_splitter, csf_gate
 from .interferometer import (
     CavityOutput,
     InterferometerResponse,

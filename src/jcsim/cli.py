@@ -34,6 +34,7 @@ from .interferometer import (
 from .jcm import ns_gate, table1
 from .linear_optics import csf_truth_table
 from .loop_circuit import (
+    PC_RESPONSE,
     LoopPhase,
     LoopSchedule,
     LoopTimingReport,
@@ -183,17 +184,21 @@ def _load_schedule(source: str) -> LoopSchedule:
         is_file = False
     text = Path(source).read_text() if is_file else source
     phases = json.loads(text)
+    layout = ValueError(
+        "a schedule is a JSON list of objects, each with a boolean 'pc_on' "
+        "and a numeric 'duration'"
+    )
     if not isinstance(phases, list) or not all(
         isinstance(p, dict)
         and isinstance(p.get("pc_on"), bool)
         and isinstance(p.get("duration"), (int, float))
         for p in phases
     ):
-        raise ValueError(
-            "a schedule is a JSON list of objects, each with a boolean 'pc_on' "
-            "and a numeric 'duration'"
-        )
-    return LoopSchedule(tuple(LoopPhase(p["pc_on"], float(p["duration"])) for p in phases))
+        raise layout
+    try:
+        return LoopSchedule(tuple(LoopPhase(p["pc_on"], float(p["duration"])) for p in phases))
+    except OverflowError:  # an integer duration beyond the float range
+        raise layout from None
 
 
 def _cmd_loop_protocol(args) -> ProtocolTrace:
@@ -262,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kappa", type=float, required=True)
     p.add_argument("--loss-pc", type=float, default=0.04)
     p.add_argument("--loss-pbs", type=float, default=0.01)
-    p.add_argument("--pc-response", type=float, default=2.5e-10)
+    p.add_argument("--pc-response", type=float, default=PC_RESPONSE)
     p.add_argument("--out")
 
     p = sub.add_parser("loop-protocol", help="execute a three-phase loop schedule")

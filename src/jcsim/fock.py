@@ -76,6 +76,11 @@ class MultiModeState:
         if self.mode_count < 1:
             raise ValueError(f"mode_count must be >= 1, got {self.mode_count}")
         amps = np.ascontiguousarray(self.amplitudes, dtype=np.complex128)
+        # dim >= 3, so past this bound dim**mode_count > 2**mode_count > amps.size
+        if self.mode_count > amps.size.bit_length():
+            raise DimensionMismatch(
+                f"mode_count {self.mode_count} needs more than the {amps.size} amplitude(s) given"
+            )
         expected = self.cutoff.dim**self.mode_count
         if amps.shape != (expected,):
             raise DimensionMismatch(

@@ -43,7 +43,7 @@ from .fock import (
     tensor,
 )
 from .jcm import ns_gate
-from .linear_optics import BeamSplitterSpec, PhaseShifterSpec, beam_splitter, phase_shifter
+from .linear_optics import beam_splitter
 
 
 @dataclass(frozen=True)
@@ -119,11 +119,10 @@ def mach_zehnder(
     """
     if input_a1.mode_count != 1:
         raise DimensionMismatch("upper-path input must be a single-mode state")
-    state = tensor(input_a1, coherent_state(alpha_a2, input_a1.cutoff))
-    spec = BeamSplitterSpec(0, 1)
-    state = beam_splitter(state, spec)
-    state = phase_shifter(state, PhaseShifterSpec(0, theta))
-    return beam_splitter(state, spec)
+    state = beam_splitter(tensor(input_a1, coherent_state(alpha_a2, input_a1.cutoff)), 0, 1)
+    phases = np.exp(1j * theta * np.arange(state.cutoff.dim))  # |n> -> e^{i n theta}|n>
+    tens = state.as_tensor() * phases[:, None]
+    return beam_splitter(state.with_amplitudes(tens.reshape(-1)), 0, 1)
 
 
 @dataclass(frozen=True)

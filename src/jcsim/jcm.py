@@ -44,17 +44,6 @@ from .fock import FockCutoff, MultiModeState, as_cutoff, renormalize
 
 
 @dataclass(frozen=True)
-class AtomState:
-    """Two-level atom amplitudes on the (ground, excited) basis."""
-
-    g_component: complex
-    e_component: complex
-
-
-ATOM_GROUND = AtomState(1.0, 0.0)
-
-
-@dataclass(frozen=True)
 class JCMParams:
     """Coupling magnitude (s^-1), coupling phase (rad), interaction time (s)."""
 
@@ -90,15 +79,6 @@ class AtomFieldState:
             )
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
-
-    @classmethod
-    def from_product(cls, atom: AtomState, photons: MultiModeState) -> "AtomFieldState":
-        if photons.mode_count != 1:
-            raise DimensionMismatch("atom couples to exactly one field mode")
-        amps = np.concatenate(
-            [atom.g_component * photons.amplitudes, atom.e_component * photons.amplitudes]
-        )
-        return cls(photons.cutoff, amps)
 
     @property
     def g_block(self) -> np.ndarray:
@@ -140,8 +120,7 @@ def _heralded_propagation(m: int, cutoff: int | FockCutoff) -> AtomFieldState:
     c(m) in ``e_block[0]`` and d(m) in ``g_block[1]``.
     """
     cutoff = as_cutoff(cutoff)
-    photons = MultiModeState(1, cutoff, np.ones(cutoff.dim))
-    start = AtomFieldState.from_product(ATOM_GROUND, photons)
+    start = AtomFieldState(cutoff, np.concatenate([np.ones(cutoff.dim), np.zeros(cutoff.dim)]))
     return jcm_propagate(start, JCMParams(1.0, time=ns_gate_times(1.0, m)))
 
 

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -37,26 +36,6 @@ import numpy as np
 from . import jcm
 from .errors import DimensionMismatch, ModeIndexOutOfRange
 from .fock import FockCutoff, MultiModeState, number_state, renormalize
-
-
-@dataclass(frozen=True)
-class BeamSplitterSpec:
-    """50:50 splitter on modes (mode_i, mode_j); mode_i carries the plus arm."""
-
-    mode_i: int
-    mode_j: int
-
-    def __post_init__(self) -> None:
-        if self.mode_i == self.mode_j:
-            raise ValueError("beam splitter needs two distinct modes")
-
-
-@dataclass(frozen=True)
-class PhaseShifterSpec:
-    """|n> -> exp(i n theta) |n> on one mode."""
-
-    mode: int
-    theta: float
 
 
 def _sector_blocks(max_total: int) -> Iterator[np.ndarray]:
@@ -98,15 +77,17 @@ def _splitter_blocks(dim: int) -> np.ndarray:
     return blocks
 
 
-def beam_splitter(s: MultiModeState, spec: BeamSplitterSpec) -> MultiModeState:
-    """Apply the 50:50 splitter to two modes of a state."""
-    for mode in (spec.mode_i, spec.mode_j):
+def beam_splitter(s: MultiModeState, mode_i: int, mode_j: int) -> MultiModeState:
+    """Apply the 50:50 splitter to modes (mode_i, mode_j); mode_i carries the plus arm."""
+    for mode in (mode_i, mode_j):
         if not 0 <= mode < s.mode_count:
             raise ModeIndexOutOfRange(f"mode {mode} outside [0, {s.mode_count - 1}]")
+    if mode_i == mode_j:
+        raise ValueError("beam splitter needs two distinct modes")
     dim = s.cutoff.dim
     p = np.arange(dim)
     q = (p[:, None] - p) % dim  # row r, slot p addresses |p, q[r, p]>
-    pair = (spec.mode_i, spec.mode_j)
+    pair = (mode_i, mode_j)
     tens = np.moveaxis(s.as_tensor(), pair, (0, 1))
     # The blocks are real, so they mix real and imaginary parts as separate columns.
     mixed = _splitter_blocks(dim) @ tens[p, q].reshape(dim, dim, -1).view(np.float64)
@@ -115,25 +96,13 @@ def beam_splitter(s: MultiModeState, spec: BeamSplitterSpec) -> MultiModeState:
     return s.with_amplitudes(out.reshape(-1))
 
 
-def phase_shifter(s: MultiModeState, spec: PhaseShifterSpec) -> MultiModeState:
-    """Multiply each amplitude by exp(i n theta) for its occupation n."""
-    if not 0 <= spec.mode < s.mode_count:
-        raise ModeIndexOutOfRange(f"mode {spec.mode} outside [0, {s.mode_count - 1}]")
-    dim = s.cutoff.dim
-    phases = np.exp(1j * spec.theta * np.arange(dim))
-    shape = [1] * s.mode_count
-    shape[spec.mode] = dim
-    tens = s.as_tensor() * phases.reshape(shape)
-    return s.with_amplitudes(tens.reshape(-1))
-
-
 # -- conditional sign flip ---------------------------------------------------
 
 #: Rail occupations of logical bit b: |0bar> = |0>|1>, |1bar> = |1>|0>.
 _RAILS = ((0, 1), (1, 0))
 
-# Mode layout of the two-qubit register: (x1, x2, y1, y2).
-_RAIL_X1, _RAIL_X2, _RAIL_Y1, _RAIL_Y2 = range(4)
+# Modes x1 and y1 of the two-qubit register (x1, x2, y1, y2).
+_RAIL_X1, _RAIL_Y1 = 0, 2
 
 
 def logical_basis_state(j: int, k: int, cutoff: int | FockCutoff = 12) -> MultiModeState:
@@ -172,13 +141,12 @@ def csf_gate(
     else:
         raise ValueError(f"ns_mode must be 'ideal' or 'jcm', got {ns_mode!r}")
 
-    spec = BeamSplitterSpec(_RAIL_X1, _RAIL_Y1)
-    out = beam_splitter(s, spec)
+    out = beam_splitter(s, _RAIL_X1, _RAIL_Y1)
     tens = out.as_tensor() * diag[:, None, None, None] * diag[None, None, :, None]
     out = out.with_amplitudes(tens.reshape(-1))
     success_probability = out.norm_squared()
     out = renormalize(out)
-    out = beam_splitter(out, spec)
+    out = beam_splitter(out, _RAIL_X1, _RAIL_Y1)
     return out, float(success_probability)
 
 

@@ -27,6 +27,10 @@ from .jcm import ns_gate_times
 
 SPEED_OF_LIGHT = 2.998e8  # m/s
 
+#: Response time of the switchable cell (s): the injection and extraction
+#: phase length and the timing report's achievable switching time.
+PC_RESPONSE = 2.5e-10
+
 #: Path and polarization partners: a <-> b, V <-> H.
 _OTHER = {"a": "b", "b": "a", "V": "H", "H": "V"}
 
@@ -53,8 +57,10 @@ class LoopPhase:
     duration: float
 
     def __post_init__(self) -> None:
-        if not self.duration > 0:
-            raise ValueError(f"phase duration must be positive, got {self.duration}")
+        if not 0 < self.duration < math.inf:
+            raise ValueError(
+                f"a schedule phase duration must be positive and finite, got {self.duration}"
+            )
 
 
 @dataclass(frozen=True)
@@ -68,17 +74,11 @@ class LoopSchedule:
             raise ValueError(f"a loop schedule has exactly 3 phases, got {len(self.phases)}")
 
 
-def canonical_schedule(
-    kappa_abs: float, m: int, switch_duration: float = 2.5e-10
-) -> LoopSchedule:
-    """Cell on, cell off for one gate time, cell on again."""
+def canonical_schedule(kappa_abs: float, m: int) -> LoopSchedule:
+    """Cell on for one response time, off for one gate time, on again."""
     gate = ns_gate_times(kappa_abs, m)
     return LoopSchedule(
-        (
-            LoopPhase(True, switch_duration),
-            LoopPhase(False, gate),
-            LoopPhase(True, switch_duration),
-        )
+        (LoopPhase(True, PC_RESPONSE), LoopPhase(False, gate), LoopPhase(True, PC_RESPONSE))
     )
 
 
@@ -186,7 +186,7 @@ def timing_report(
     kappa_abs: float,
     loss_pc: float = 0.04,
     loss_pbs: float = 0.01,
-    achievable_pc_response: float = 2.5e-10,
+    achievable_pc_response: float = PC_RESPONSE,
 ) -> LoopTimingReport:
     """Switching-time and loss budget for a cavity of width lambda/2.
 

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from jcsim.fock import as_cutoff, coherent_state, tensor
-from jcsim.linear_optics import BeamSplitterSpec, beam_splitter
+from jcsim.linear_optics import beam_splitter
 
 
 def dense_propagator(n_max, kappa_abs, kappa_phase, t):
@@ -98,7 +98,7 @@ def coherent_bs_law_check(alpha, beta, cutoff=12):
     """
     cutoff = as_cutoff(cutoff)
     state = tensor(coherent_state(alpha, cutoff), coherent_state(beta, cutoff))
-    out = beam_splitter(state, BeamSplitterSpec(0, 1))
+    out = beam_splitter(state, 0, 1)
     plus = (alpha + beta) / math.sqrt(2)
     minus = (alpha - beta) / math.sqrt(2)
     predicted = tensor(coherent_state(plus, cutoff), coherent_state(minus, cutoff))

@@ -22,14 +22,13 @@ from jcsim.interferometer import (
     poisson_pmf,
 )
 from jcsim.jcm import (
-    ATOM_GROUND,
     AtomFieldState,
     JCMParams,
     jcm_propagate,
     ns_gate_times,
     table1,
 )
-from jcsim.linear_optics import BeamSplitterSpec, beam_splitter, csf_gate, logical_basis_state
+from jcsim.linear_optics import beam_splitter, csf_gate, logical_basis_state
 from jcsim.loop_circuit import timing_report
 
 CAVITY_KAPPA = (1 / 70) * 1e6
@@ -58,7 +57,7 @@ def test_criterion_01_error_probability_table():
 
 
 def test_criterion_02_two_photon_sign_flip():
-    s = AtomFieldState.from_product(ATOM_GROUND, number_state([2], 8))
+    s = AtomFieldState(FockCutoff(8), np.eye(18)[2])  # |g, 2> at n_max = 8
     t = ns_gate_times(CAVITY_KAPPA, 1)  # 3 pi / (sqrt 2 |kappa|)
     out = jcm_propagate(s, JCMParams(kappa_abs=CAVITY_KAPPA, time=t))
     error = np.abs(out.amplitudes + s.amplitudes).max()
@@ -192,7 +191,7 @@ def test_criterion_09_oracle_equivalence():
         dim = n_max + 1
         for n in range(dim):
             for m in range(dim):
-                out = beam_splitter(number_state([n, m], n_max), BeamSplitterSpec(0, 1))
+                out = beam_splitter(number_state([n, m], n_max), 0, 1)
                 if np.abs(out.amplitudes - multinomial_oracle(n, m, dim)).max() > 1e-9:
                     splitter_ok = False
     assert report(

@@ -167,6 +167,7 @@ LAYOUT = '"amplitudes": [[re, im], ...]'
         ({"mode_count": 1, "amplitudes": [[1, 0], [0, 0], [0, 0]]}, LAYOUT),
         ({"mode_count": 1, "n_max": 2, "amplitudes": [[1, 0, 0], [0, 0], [0, 0]]}, LAYOUT),
         ({"mode_count": 1, "n_max": 2, "amplitudes": [[10**400, 0], [0, 0], [0, 0]]}, "finite"),
+        ({"mode_count": 10**7, "n_max": 2, "amplitudes": [[1, 0]]}, "mode_count 10000000"),
     ],
     ids=[
         "string-amplitude",
@@ -174,6 +175,7 @@ LAYOUT = '"amplitudes": [[re, im], ...]'
         "missing-n-max",
         "three-element-pair",
         "integer-beyond-float-range",
+        "mode-count-beyond-amplitudes",
     ],
 )
 def test_ns_gate_malformed_state_file_is_runtime_error(payload, message, tmp_path, capsys):
@@ -437,8 +439,20 @@ def test_loop_protocol_violation_is_runtime_error(capsys):
         '[{"pc_on": true}]',
         '[{"pc_on": true, "duration": [1]}]',
         '[{"pc_on": "false", "duration": 1e-9}]',
+        '[{"pc_on": true, "duration": 1e-9}, {"pc_on": false, "duration": %s}, '
+        '{"pc_on": true, "duration": 1e-9}]' % ("1" * 401),
+        '[{"pc_on": true, "duration": 1e-9}, {"pc_on": false, "duration": 1e999}, '
+        '{"pc_on": true, "duration": 1e-9}]',
     ],
-    ids=["list-of-ints", "object", "missing-duration", "non-numeric-duration", "string-pc-on"],
+    ids=[
+        "list-of-ints",
+        "object",
+        "missing-duration",
+        "non-numeric-duration",
+        "string-pc-on",
+        "integer-beyond-float-range",
+        "infinite-duration",
+    ],
 )
 def test_loop_protocol_malformed_schedule_is_runtime_error(schedule, capsys):
     code, out, err = run_cli(["loop-protocol", "--schedule", schedule], capsys)

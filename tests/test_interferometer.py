@@ -3,9 +3,18 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
-from jcsim.fock import coherent_state, number_state, renormalize, tensor
+from jcsim.fock import (
+    FockCutoff,
+    MultiModeState,
+    coherent_state,
+    number_state,
+    renormalize,
+    tensor,
+)
 from jcsim.interferometer import (
     cat_reference,
     cavity_ns_output,
@@ -164,6 +173,8 @@ def test_cavity_matches_cat_up_to_alpha_squared(m):
         # truncation tails grow toward |alpha| = 0.8 but stay tiny
         (0.8, 0.8j, 2.1, 1e-5),
         (0.8, -0.5, 0.7, 1e-5),
+        # vacuum reference at theta = pi: |n> picks up (-1)^n and leaves by D2
+        (0.6, 0, math.pi, 1e-12),
     ],
 )
 def test_mach_zehnder_coherent_closed_form(alpha, beta, theta, tol):
@@ -173,6 +184,17 @@ def test_mach_zehnder_coherent_closed_form(alpha, beta, theta, tol):
     gamma2 = ((rot - 1) * alpha + (rot + 1) * beta) / 2
     predicted = tensor(coherent_state(gamma1, 12), coherent_state(gamma2, 12))
     assert np.abs(out.amplitudes - predicted.amplitudes).max() < tol
+
+
+@given(st.integers(0, 2**32 - 1), st.floats(-1e3, 1e3))
+@settings(max_examples=20)
+def test_mach_zehnder_vacuum_reference_keeps_norm(seed, theta):
+    # against vacuum the total photon number stays <= n_max, so every
+    # element acts exactly and the output keeps unit norm at any phase
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=6) + 1j * rng.normal(size=6)
+    state_in = renormalize(MultiModeState(1, FockCutoff(5), amps))
+    assert abs(mach_zehnder(state_in, 0, theta).norm() - 1.0) < 1e-12
 
 
 def test_mach_zehnder_zero_phase_is_transparent():

@@ -9,7 +9,6 @@ from oracles import cm_dm_closed_form, dense_propagator, ns_diagonal_closed_form
 from jcsim import jcm
 from jcsim.fock import FockCutoff, MultiModeState, number_state, renormalize
 from jcsim.jcm import (
-    ATOM_GROUND,
     AtomFieldState,
     JCMParams,
     cm_dm,
@@ -44,7 +43,7 @@ def random_atom_field(n_max, seed):
 
 
 def test_ground_vacuum_is_stationary():
-    s = AtomFieldState.from_product(ATOM_GROUND, number_state([0], 6))
+    s = atom_field(6, number_state([0], 6).amplitudes, np.zeros(7))
     out = jcm_propagate(s, JCMParams(kappa_abs=2.0, time=0.73))
     assert np.allclose(out.amplitudes, s.amplitudes, atol=1e-14)
 
@@ -53,7 +52,7 @@ def test_single_photon_half_rabi_swap():
     # At |kappa| t = pi/2 the photon is fully absorbed; exp(-iHt) puts the
     # amplitude on -i |e>|0> (confirmed against the dense matrix exponential).
     kappa = 1.7
-    s = AtomFieldState.from_product(ATOM_GROUND, number_state([1], 6))
+    s = atom_field(6, number_state([1], 6).amplitudes, np.zeros(7))
     out = jcm_propagate(s, JCMParams(kappa_abs=kappa, time=math.pi / (2 * kappa)))
     expected = np.zeros(14, complex)
     expected[7] = -1j
@@ -64,7 +63,7 @@ def test_single_photon_half_rabi_swap():
 
 def test_two_photon_sign_flip():
     kappa = 1 / 70 * 1e6
-    s = AtomFieldState.from_product(ATOM_GROUND, number_state([2], 6))
+    s = atom_field(6, number_state([2], 6).amplitudes, np.zeros(7))
     out = jcm_propagate(s, JCMParams(kappa_abs=kappa, time=ns_gate_times(kappa, 1)))
     assert np.abs(out.amplitudes - (-s.amplitudes)).max() < 1e-10
 
@@ -174,7 +173,7 @@ def test_cm_dm_matches_propagated_one_photon_sector():
         assert abs(c - c_ref) < 1e-12 and abs(d - d_ref) < 1e-12
         for n_max in (2, 5, 12, 30):
             for kappa in (1.0, 2.7):
-                s = AtomFieldState.from_product(ATOM_GROUND, number_state([1], n_max))
+                s = atom_field(n_max, number_state([1], n_max).amplitudes, np.zeros(n_max + 1))
                 out = jcm_propagate(s, JCMParams(kappa, 0.0, ns_gate_times(kappa, m)))
                 assert abs(out.e_block[0] - c_ref) < 1e-12
                 assert abs(out.g_block[1] - d_ref) < 1e-12

@@ -10,24 +10,18 @@ from jcsim.errors import ModeIndexOutOfRange
 from jcsim.fock import (
     FockCutoff,
     MultiModeState,
-    coherent_state,
     number_state,
     renormalize,
     tensor,
 )
 from jcsim.jcm import cm_dm
 from jcsim.linear_optics import (
-    BeamSplitterSpec,
-    PhaseShifterSpec,
     _sector_blocks,
     beam_splitter,
     csf_gate,
     csf_truth_table,
     logical_basis_state,
-    phase_shifter,
 )
-
-BS01 = BeamSplitterSpec(0, 1)
 
 
 def random_bounded_state(n_max, seed):
@@ -44,14 +38,14 @@ def random_bounded_state(n_max, seed):
 
 
 def test_two_photon_bunching():
-    out = beam_splitter(number_state([1, 1], 4), BS01)
+    out = beam_splitter(number_state([1, 1], 4), 0, 1)
     assert np.isclose(out.amplitude([2, 0]), 1 / math.sqrt(2), atol=1e-12)
     assert np.isclose(out.amplitude([0, 2]), -1 / math.sqrt(2), atol=1e-12)
     assert np.isclose(out.amplitude([1, 1]), 0.0, atol=1e-12)
 
 
 def test_vacuum_invariant():
-    out = beam_splitter(number_state([0, 0], 4), BS01)
+    out = beam_splitter(number_state([0, 0], 4), 0, 1)
     assert np.allclose(out.amplitudes, number_state([0, 0], 4).amplitudes)
 
 
@@ -60,7 +54,7 @@ def test_vacuum_invariant():
 @settings(max_examples=20)
 def test_applied_twice_is_identity(n_max, seed):
     s = random_bounded_state(n_max, seed)
-    roundtrip = beam_splitter(beam_splitter(s, BS01), BS01)
+    roundtrip = beam_splitter(beam_splitter(s, 0, 1), 0, 1)
     assert np.abs(roundtrip.amplitudes - s.amplitudes).max() < 1e-12
 
 
@@ -69,7 +63,7 @@ def test_applied_twice_is_identity(n_max, seed):
 @settings(max_examples=20)
 def test_norm_preserved_on_bounded_states(n_max, seed):
     s = random_bounded_state(n_max, seed)
-    assert abs(beam_splitter(s, BS01).norm() - 1.0) < 1e-12
+    assert abs(beam_splitter(s, 0, 1).norm() - 1.0) < 1e-12
 
 
 @pytest.mark.parametrize("n_max", [6, 12, 20, 30])
@@ -77,7 +71,7 @@ def test_norm_preserved_on_bounded_states(n_max, seed):
 @settings(max_examples=15)
 def test_total_photon_distribution_conserved(n_max, seed):
     s = random_bounded_state(n_max, seed)
-    out = beam_splitter(s, BS01)
+    out = beam_splitter(s, 0, 1)
     dim = n_max + 1
     n1, n2 = np.meshgrid(np.arange(dim), np.arange(dim), indexing="ij")
     for state in (s, out):
@@ -94,14 +88,14 @@ def test_matches_symbolic_multinomial_oracle(n_max):
     dim = n_max + 1
     for n in range(dim):
         for m in range(dim):
-            out = beam_splitter(number_state([n, m], n_max), BS01)
+            out = beam_splitter(number_state([n, m], n_max), 0, 1)
             oracle = multinomial_oracle(n, m, dim)
             assert np.abs(out.amplitudes - oracle).max() < 1e-9
 
 
 @pytest.mark.parametrize("n, m", [(28, 30), (30, 30), (15, 20)])
 def test_high_photon_columns_match_symbolic_multinomial_oracle(n, m):
-    out = beam_splitter(number_state([n, m], 30), BS01)
+    out = beam_splitter(number_state([n, m], 30), 0, 1)
     assert np.abs(out.amplitudes - multinomial_oracle(n, m, 31)).max() < 1e-12
 
 
@@ -115,49 +109,19 @@ def test_sector_blocks_are_orthogonal_involutions():
 
 def test_beam_splitter_on_selected_modes_of_larger_register():
     s = number_state([1, 0, 1], 4)
-    out = beam_splitter(s, BeamSplitterSpec(0, 2))
+    out = beam_splitter(s, 0, 2)
     assert np.isclose(out.amplitude([2, 0, 0]), 1 / math.sqrt(2), atol=1e-12)
     assert np.isclose(out.amplitude([0, 0, 2]), -1 / math.sqrt(2), atol=1e-12)
 
 
 def test_beam_splitter_mode_out_of_range():
     with pytest.raises(ModeIndexOutOfRange):
-        beam_splitter(number_state([0, 0], 3), BeamSplitterSpec(0, 5))
+        beam_splitter(number_state([0, 0], 3), 0, 5)
 
 
 def test_spec_rejects_equal_modes():
     with pytest.raises(ValueError):
-        BeamSplitterSpec(1, 1)
-
-
-# -- phase shifter ----------------------------------------------------------------
-
-
-def test_phase_shifter_zero_is_identity():
-    s = random_bounded_state(5, 3)
-    out = phase_shifter(s, PhaseShifterSpec(0, 0.0))
-    assert np.allclose(out.amplitudes, s.amplitudes)
-
-
-def test_phase_shifter_pi_parity():
-    two = phase_shifter(number_state([2], 4), PhaseShifterSpec(0, math.pi))
-    one = phase_shifter(number_state([1], 4), PhaseShifterSpec(0, math.pi))
-    assert np.isclose(two.amplitude([2]), 1.0)
-    assert np.isclose(one.amplitude([1]), -1.0)
-
-
-def test_phase_shifter_rotates_coherent_amplitude():
-    alpha, theta = 0.6, 1.1
-    out = phase_shifter(coherent_state(alpha, 12), PhaseShifterSpec(0, theta))
-    expected = coherent_state(alpha * np.exp(1j * theta), 12)
-    assert np.abs(out.amplitudes - expected.amplitudes).max() < 1e-12
-
-
-@given(st.integers(0, 2**32 - 1), st.floats(-math.pi, math.pi))
-@settings(max_examples=20)
-def test_phase_shifter_unitary(seed, theta):
-    s = random_bounded_state(5, seed)
-    assert abs(phase_shifter(s, PhaseShifterSpec(1, theta)).norm() - 1.0) < 1e-12
+        beam_splitter(number_state([0, 0], 3), 1, 1)
 
 
 # -- coherent splitting law ----------------------------------------------------------

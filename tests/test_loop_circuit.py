@@ -109,6 +109,8 @@ def test_schedule_needs_three_phases():
 def test_phase_duration_positive():
     with pytest.raises(ValueError):
         LoopPhase(True, 0.0)
+    with pytest.raises(ValueError):
+        LoopPhase(True, math.inf)
 
 
 # -- timing report -------------------------------------------------------------------

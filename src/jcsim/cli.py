@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -45,6 +46,11 @@ from .loop_circuit import (
 )
 
 SCHEMA_VERSION = 1
+
+#: Largest state, in amplitudes, that a ``--n-max`` may ask for: 2**22
+#: complex values are 64 MiB.  It admits the four-mode csf-verify up to
+#: n_max 44 (45**4 amplitudes).
+MAX_AMPLITUDES = 2**22
 
 
 def _jsonify(obj):
@@ -212,12 +218,22 @@ def _cmd_loop_protocol(args) -> ProtocolTrace:
 # -- parser -------------------------------------------------------------------
 
 
-def _n_max(text: str) -> int:
-    """``--n-max``: an integer cutoff that :class:`FockCutoff` accepts."""
+def _n_max(text: str, modes: int) -> int:
+    """``--n-max``: a :class:`FockCutoff` whose ``modes``-mode state fits the budget.
+
+    The size is computed while the flags are parsed, before anything is allocated.
+    """
     try:
-        return FockCutoff(int(text)).n_max
+        n_max = FockCutoff(int(text)).n_max
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+    size = (n_max + 1) ** modes
+    if size > MAX_AMPLITUDES:
+        raise argparse.ArgumentTypeError(
+            f"n_max {n_max} needs {size} amplitudes for {modes} modes, "
+            f"above the budget of {MAX_AMPLITUDES}"
+        )
+    return n_max
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -238,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("csf-verify", help="truth table of the conditional sign flip")
     p.add_argument("--jcm-m", type=int, default=None, help="use the heralded gate at this m")
-    p.add_argument("--n-max", type=_n_max, default=6)
+    p.add_argument("--n-max", type=functools.partial(_n_max, modes=4), default=6)
     p.add_argument("--out")
 
     p = sub.add_parser("mach-zehnder", help="interferometer run with detection statistics")
@@ -247,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=3)
     p.add_argument("--shots", type=int, default=0)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--n-max", type=_n_max, default=12)
+    p.add_argument("--n-max", type=functools.partial(_n_max, modes=2), default=12)
     p.add_argument("--out")
 
     p = sub.add_parser("fig3-sweep", help="CSV sweep of |F1|, |F2| over theta")

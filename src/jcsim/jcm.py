@@ -25,7 +25,8 @@ is scaled by d(m) = cos((2m+1) pi / sqrt(2)); the run fails (atom found in
 weight.  Because U(t_m) is block diagonal, one propagation of
 |g> (x) sum_n |n> holds the whole post-selected diagonal in its ground
 block, and c(m), d(m) in its one-excitation block; every quantity of the
-gate is read from that propagation.  |kappa| cancels out of the
+gate is read from that propagation, which is cached per (m, cutoff) and
+shared read-only by every caller.  |kappa| cancels out of the
 post-selected action and phi only rotates c(m), so the gate runs at
 |kappa| = 1, phi = 0.  For negative d(m) (e.g. the m=3 route) a lossless
 (-1)^n phase shifter restores the |1> sign.
@@ -36,6 +37,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -110,6 +112,8 @@ def ns_gate_times(kappa_abs: float, m: int) -> float:
     """Interaction time (2m+1) pi / (sqrt(2) kappa_abs) for the sign flip."""
     if m < 0:
         raise ValueError(f"m must be a non-negative integer, got {m}")
+    if not 0 < kappa_abs < math.inf:
+        raise ValueError(f"kappa must be positive and finite, got {kappa_abs}")
     return (2 * m + 1) * math.pi / (math.sqrt(2) * kappa_abs)
 
 
@@ -119,7 +123,12 @@ def _heralded_propagation(m: int, cutoff: int | FockCutoff) -> AtomFieldState:
     The ground block is the post-selected diagonal; the |1> sector gives
     c(m) in ``e_block[0]`` and d(m) in ``g_block[1]``.
     """
-    cutoff = as_cutoff(cutoff)
+    return _propagated_at_gate_time(m, as_cutoff(cutoff))
+
+
+@lru_cache(maxsize=64)
+def _propagated_at_gate_time(m: int, cutoff: FockCutoff) -> AtomFieldState:
+    """The cached body of :func:`_heralded_propagation`; its amplitudes are read-only."""
     start = AtomFieldState(cutoff, np.concatenate([np.ones(cutoff.dim), np.zeros(cutoff.dim)]))
     return jcm_propagate(start, JCMParams(1.0, time=ns_gate_times(1.0, m)))
 

@@ -16,7 +16,8 @@ The splitter conserves the total photon number N, so it acts as one block
 per sector.  The two-mode grid is read in rows of fixed (p + q) mod dim,
 dim = n_max + 1: sector N (p = 0..N) and sector N + dim (p = N+1..n_max)
 together hold exactly dim amplitudes, so one batched matmul over dim
-blocks of dim x dim needs no buffer larger than the state.
+blocks of dim x dim needs no buffer larger than the state.  The blocks are
+cached per dim together with the (p, q) indices that gather each row.
 
 A dual-rail qubit stores one photon across a pair of paths:
 |0bar> = |0>|1> and |1bar> = |1>|0>.  The conditional sign-flip network
@@ -63,18 +64,23 @@ def _sector_blocks(max_total: int) -> Iterator[np.ndarray]:
 
 
 @lru_cache(maxsize=8)
-def _splitter_blocks(dim: int) -> np.ndarray:
-    """Per-row splitter blocks, ``blocks[r, p_out, p_in]`` on rows (p + q) % dim = r.
+def _splitter_blocks(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-row splitter blocks and the gather indices (p, q) of their rows.
 
-    Row r holds sector r (p = 0..r) and sector r + dim (p = r+1..dim-1),
-    each cut to the occupations p, N - p < dim that the state can hold.
+    ``blocks[r, p_out, p_in]`` acts on row r, the amplitudes |p, q[r, p]>
+    with (p + q) % dim = r.  Row r holds sector r (p = 0..r) and sector
+    r + dim (p = r+1..dim-1), each cut to the occupations p, N - p < dim
+    that the state can hold.  All three arrays are read-only.
     """
     blocks = np.zeros((dim, dim, dim))
     for total, block in enumerate(_sector_blocks(2 * dim - 2)):
         lo, hi = max(0, total - dim + 1), min(total, dim - 1) + 1
         blocks[total % dim, lo:hi, lo:hi] = block[lo:hi, lo:hi]
-    blocks.setflags(write=False)
-    return blocks
+    p = np.arange(dim)
+    q = (p[:, None] - p) % dim
+    for array in (blocks, p, q):
+        array.setflags(write=False)
+    return blocks, p, q
 
 
 def beam_splitter(s: MultiModeState, mode_i: int, mode_j: int) -> MultiModeState:
@@ -85,14 +91,14 @@ def beam_splitter(s: MultiModeState, mode_i: int, mode_j: int) -> MultiModeState
     if mode_i == mode_j:
         raise ValueError("beam splitter needs two distinct modes")
     dim = s.cutoff.dim
-    p = np.arange(dim)
-    q = (p[:, None] - p) % dim  # row r, slot p addresses |p, q[r, p]>
-    pair = (mode_i, mode_j)
-    tens = np.moveaxis(s.as_tensor(), pair, (0, 1))
+    blocks, p, q = _splitter_blocks(dim)
+    # the addressed pair first, then the other modes in order
+    axes = (mode_i, mode_j, *(k for k in range(s.mode_count) if k not in (mode_i, mode_j)))
+    tens = s.as_tensor().transpose(axes)
     # The blocks are real, so they mix real and imaginary parts as separate columns.
-    mixed = _splitter_blocks(dim) @ tens[p, q].reshape(dim, dim, -1).view(np.float64)
+    mixed = blocks @ tens[p, q].reshape(dim, dim, -1).view(np.float64)
     out = np.empty_like(s.as_tensor())
-    np.moveaxis(out, pair, (0, 1))[p, q] = mixed.view(np.complex128).reshape(tens.shape)
+    out.transpose(axes)[p, q] = mixed.view(np.complex128).reshape(tens.shape)
     return s.with_amplitudes(out.reshape(-1))
 
 

@@ -209,6 +209,11 @@ def timing_report(
     trips_m3 = gate_m3 / round_trip_time
     log_per_pass = math.log10(1 - loss_pc) + math.log10(1 - loss_pbs)
     log_m1, log_m3 = trips_m1 * log_per_pass, trips_m3 * log_per_pass
+    if not (math.isfinite(log_m1) and math.isfinite(log_m3)):
+        raise ValueError(
+            f"the survival log10 must be finite, got {log_m3} over {trips_m3:g} round trips "
+            f"(wavelength {wavelength:g}, kappa {kappa_abs:g})"
+        )
     pc_response_required = cavity_width / SPEED_OF_LIGHT
     return LoopTimingReport(
         wavelength=wavelength,

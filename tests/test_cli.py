@@ -349,6 +349,9 @@ def test_empty_table_is_usage_error(argv, capsys):
         ["loop-timing", "--wavelength", "nan", "--kappa", "1e4"],
         ["loop-timing", "--wavelength", "inf", "--kappa", "1e4"],
         ["loop-timing", "--wavelength", "1.39724e-2", "--kappa", "1e4", "--pc-response", "nan"],
+        ["loop-timing", "--wavelength", "1e-300", "--kappa", "1e-300"],
+        ["loop-protocol", "--kappa", "0", "--m", "1"],
+        ["loop-protocol", "--kappa", "-1", "--m", "1"],
     ],
     ids=[
         "fig4-pmf-mu-nan",
@@ -356,6 +359,9 @@ def test_empty_table_is_usage_error(argv, capsys):
         "loop-timing-wavelength-nan",
         "loop-timing-wavelength-inf",
         "loop-timing-pc-response-nan",
+        "loop-timing-survival-overflow",
+        "loop-protocol-kappa-zero",
+        "loop-protocol-kappa-negative",
     ],
 )
 def test_nan_domain_is_runtime_error(argv, capsys):
@@ -505,6 +511,36 @@ def test_n_max_below_two_is_usage_error(argv, capsys):
     assert captured.out == ""
     assert_one_error_line(captured.err)
     assert "--n-max" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, modes",
+    [
+        (["csf-verify", "--n-max", "200"], 4),
+        (["csf-verify", "--jcm-m", "3", "--n-max", "45"], 4),
+        (["mach-zehnder", "--alpha", "0.5", "--theta", "1", "--n-max", "2048"], 2),
+    ],
+    ids=["csf-verify-200", "csf-verify-45", "mach-zehnder-2048"],
+)
+def test_n_max_beyond_amplitude_budget_is_usage_error(argv, modes, monkeypatch, capsys):
+    assert (int(argv[-1]) + 1) ** modes > cli.MAX_AMPLITUDES  # computed, never allocated
+    for handler in ("csf_truth_table", "cavity_ns_output"):
+        monkeypatch.setattr(cli, handler, lambda *a, **k: pytest.fail("state was built"))
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert_one_error_line(captured.err)
+    assert "budget" in captured.err
+
+
+def test_amplitude_budget_admits_the_benchmark_cutoffs():
+    parser = build_parser()
+    assert parser.parse_args(["csf-verify", "--n-max", "30"]).n_max == 30
+    assert parser.parse_args(["csf-verify", "--n-max", "44"]).n_max == 44
+    mz = ["mach-zehnder", "--alpha", "0.5", "--theta", "1", "--n-max", "2047"]
+    assert parser.parse_args(mz).n_max == 2047
 
 
 def test_handler_bug_is_not_reported_as_user_error(monkeypatch):

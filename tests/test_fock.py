@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jcsim import fock
 from jcsim.errors import CutoffMismatch, OccupationExceedsCutoff, ZeroStateError
 from jcsim.fock import (
     FockCutoff,
@@ -76,6 +77,25 @@ def test_coherent_one_photon_amplitude():
 
 def test_coherent_truncation_deficit_negligible_at_half():
     assert abs(coherent_state(0.5, 12).norm_squared() - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, -0.3 + 0.8j, 1.9j])
+@pytest.mark.parametrize("n_max", [2, 12, 30])
+def test_coherent_amplitudes_match_uncached_expression_bitwise(alpha, n_max, recwarn):
+    # The per-dimension table is cached and the arithmetic is the same
+    # expression; recwarn takes the truncation warning of the larger alphas.
+    alpha = complex(alpha)
+    n = np.arange(n_max + 1)
+    log_fact = np.cumsum(np.concatenate([[0.0], np.log(np.arange(1, n_max + 1))]))
+    expected = np.exp(-abs(alpha) ** 2 / 2) * alpha**n / np.exp(0.5 * log_fact)
+    for _ in range(2):
+        assert coherent_state(alpha, n_max).amplitudes.tobytes() == expected.tobytes()
+
+
+def test_coherent_tables_are_read_only():
+    for table in fock._number_and_sqrt_factorials(13):
+        with pytest.raises(ValueError):
+            table[0] = 7
 
 
 def test_coherent_truncation_warning():
@@ -172,6 +192,15 @@ def test_tensor_norm_multiplicative(seed_a, seed_b):
     b = random_state(2, 5, seed_b)
     a = a.with_amplitudes(1.7 * a.amplitudes)
     assert np.isclose(tensor(a, b).norm(), a.norm() * b.norm(), atol=1e-12)
+
+
+@pytest.mark.parametrize("modes_a, modes_b", [(1, 1), (1, 2), (2, 1), (2, 2), (1, 3)])
+def test_tensor_equals_kron_bitwise(modes_a, modes_b):
+    a = random_state(modes_a, 4, 10 * modes_a + modes_b)
+    b = random_state(modes_b, 4, 20 * modes_b + modes_a)
+    out = tensor(a, b)
+    assert out.mode_count == modes_a + modes_b
+    assert out.amplitudes.tobytes() == np.kron(a.amplitudes, b.amplitudes).tobytes()
 
 
 def test_tensor_cutoff_mismatch():

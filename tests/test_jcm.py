@@ -156,6 +156,12 @@ def test_gate_time_rejects_negative_m():
         ns_gate_times(1.0, -1)
 
 
+@pytest.mark.parametrize("kappa", [0.0, -1.0, math.nan, math.inf])
+def test_gate_time_rejects_kappa_outside_domain(kappa):
+    with pytest.raises(ValueError, match="kappa must be positive and finite"):
+        ns_gate_times(kappa, 1)
+
+
 @pytest.mark.parametrize("m", range(5))
 def test_cm_dm_reference_values(m):
     c, d = cm_dm(m)
@@ -255,12 +261,32 @@ def test_ns_gate_propagates_once(monkeypatch):
         return jcm_propagate(s, p)
 
     monkeypatch.setattr(jcm, "jcm_propagate", counting)
+    jcm._propagated_at_gate_time.cache_clear()
+    state = uniform_superposition()
     for m in range(3):
         before = len(calls)
-        result = ns_gate(uniform_superposition(), m=m)
+        result = ns_gate(state, m=m)
+        # the first gate at (m, cutoff) propagates once, at t_m
         assert calls[before:] == [ns_gate_times(1.0, m)]
+        # a repeat, or the same cutoff given as an int, reads the cache
+        assert ns_gate(state, m=m).output.amplitudes.tobytes() == (
+            result.output.amplitudes.tobytes()
+        )
+        ns_post_selected_diagonal(m, state.cutoff.n_max)
+        ns_post_selected_diagonal(m, FockCutoff(state.cutoff.n_max))
+        assert len(calls) == before + 1
         # c(m) and d(m) come from that same propagation
         assert (result.c_m, result.d_m) == cm_dm(m)
+
+
+def test_cached_propagation_is_read_only():
+    diag = ns_post_selected_diagonal(3, 12)
+    with pytest.raises(ValueError):
+        diag[0] = 0.0
+    with pytest.raises(ValueError):
+        jcm._heralded_propagation(3, 12).amplitudes[0] = 0.0
+    # so no caller can change what the next one reads
+    assert diag.tobytes() == ns_post_selected_diagonal(3, FockCutoff(12)).tobytes()
 
 
 def test_ns_gate_m3_consistent_with_ideal():

@@ -17,6 +17,7 @@ from jcsim.fock import (
 from jcsim.jcm import cm_dm
 from jcsim.linear_optics import (
     _sector_blocks,
+    _splitter_blocks,
     beam_splitter,
     csf_gate,
     csf_truth_table,
@@ -112,6 +113,28 @@ def test_beam_splitter_on_selected_modes_of_larger_register():
     out = beam_splitter(s, 0, 2)
     assert np.isclose(out.amplitude([2, 0, 0]), 1 / math.sqrt(2), atol=1e-12)
     assert np.isclose(out.amplitude([0, 0, 2]), -1 / math.sqrt(2), atol=1e-12)
+
+
+@pytest.mark.parametrize("mode_count", [3, 4])
+def test_beam_splitter_on_any_pair_equals_moving_it_to_the_front(mode_count):
+    rng = np.random.default_rng(mode_count)
+    dim = 5
+    amps = rng.normal(size=dim**mode_count) + 1j * rng.normal(size=dim**mode_count)
+    s = MultiModeState(mode_count, FockCutoff(dim - 1), amps)
+    for i in range(mode_count):
+        for j in range(mode_count):
+            if i == j:
+                continue
+            front = np.ascontiguousarray(np.moveaxis(s.as_tensor(), (i, j), (0, 1)))
+            split = beam_splitter(s.with_amplitudes(front.reshape(-1)), 0, 1).as_tensor()
+            expected = np.moveaxis(split, (0, 1), (i, j))
+            assert beam_splitter(s, i, j).as_tensor().tobytes() == expected.tobytes()
+
+
+def test_splitter_cache_is_read_only():
+    for array in _splitter_blocks(7):
+        with pytest.raises(ValueError):
+            array[0] = 1
 
 
 def test_beam_splitter_mode_out_of_range():

@@ -11,50 +11,5 @@ shared state representation of :mod:`jcsim.fock`.
 
 __version__ = "0.1.0"
 
-from .errors import (
-    CutoffMismatch,
-    DimensionMismatch,
-    ModeIndexOutOfRange,
-    OccupationExceedsCutoff,
-    SimulatorError,
-    ZeroStateError,
-)
-from .fock import (
-    FockCutoff,
-    MultiModeState,
-    coherent_state,
-    number_state,
-    renormalize,
-    tensor,
-)
-from .jcm import (
-    AtomFieldState,
-    JCMParams,
-    NSGateResult,
-    cm_dm,
-    jcm_propagate,
-    ns_gate,
-    ns_gate_times,
-    table1,
-)
-from .linear_optics import beam_splitter, csf_gate
-from .interferometer import (
-    CavityOutput,
-    InterferometerResponse,
-    cat_reference,
-    cavity_ns_output,
-    conditional_run,
-    detector_statistics,
-    f_functions,
-    mach_zehnder,
-    poisson_pmf,
-)
-from .loop_circuit import (
-    LoopPhase,
-    LoopSchedule,
-    LoopTimingReport,
-    ProtocolViolation,
-    canonical_schedule,
-    run_loop_protocol,
-    timing_report,
-)
+# ``import jcsim`` loads every layer; the names live in the layer modules.
+from . import fock, interferometer, jcm, linear_optics, loop_circuit

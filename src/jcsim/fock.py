@@ -109,29 +109,13 @@ class MultiModeState:
         dim = self.cutoff.dim
         return self.amplitudes.reshape((dim,) * self.mode_count)
 
-    def index_of(self, occupations: Sequence[int]) -> int:
-        """Flat index of the basis state with the given occupation numbers."""
-        self._check_occupations(occupations)
-        dim = self.cutoff.dim
-        idx = 0
-        for n in occupations:
-            idx = idx * dim + int(n)
-        return idx
-
     def amplitude(self, occupations: Sequence[int]) -> complex:
         """Amplitude on the basis state |n_1, ..., n_k>."""
-        return complex(self.amplitudes[self.index_of(occupations)])
-
-    def _check_occupations(self, occupations: Sequence[int]) -> None:
         if len(occupations) != self.mode_count:
             raise DimensionMismatch(
                 f"expected {self.mode_count} occupation numbers, got {len(occupations)}"
             )
-        for n in occupations:
-            if not 0 <= int(n) <= self.cutoff.n_max:
-                raise OccupationExceedsCutoff(
-                    f"occupation {n} outside [0, {self.cutoff.n_max}]"
-                )
+        return complex(self.amplitudes[_flat_index(occupations, self.cutoff)])
 
     def with_amplitudes(self, amplitudes: np.ndarray) -> "MultiModeState":
         """New state with the same shape but different amplitudes."""
@@ -177,19 +161,24 @@ class MultiModeState:
         return cls(payload["mode_count"], FockCutoff(payload["n_max"]), amps)
 
 
+def _flat_index(occupations: Sequence[int], cutoff: FockCutoff) -> int:
+    """Row-major index of |n_1, ..., n_k>, each occupation checked against the cutoff."""
+    idx = 0
+    for n in occupations:
+        if not 0 <= int(n) <= cutoff.n_max:
+            raise OccupationExceedsCutoff(f"occupation {n} outside [0, {cutoff.n_max}]")
+        idx = idx * cutoff.dim + int(n)
+    return idx
+
+
 # -- constructors --------------------------------------------------------
 
 
 def number_state(ns: Sequence[int], cutoff: int | FockCutoff) -> MultiModeState:
     """The basis state |n_1, ..., n_k>."""
     cutoff = as_cutoff(cutoff)
-    idx = 0
-    for n in ns:
-        if not 0 <= int(n) <= cutoff.n_max:
-            raise OccupationExceedsCutoff(f"occupation {n} outside [0, {cutoff.n_max}]")
-        idx = idx * cutoff.dim + int(n)
     amps = np.zeros(cutoff.dim ** len(ns), dtype=np.complex128)
-    amps[idx] = 1.0
+    amps[_flat_index(ns, cutoff)] = 1.0
     return MultiModeState(len(ns), cutoff, amps)
 
 

@@ -57,8 +57,9 @@ class CavityOutput:
 def cavity_ns_output(alpha: complex, m: int, cutoff: int | FockCutoff = 12) -> CavityOutput:
     """Run the heralded gate on |alpha| < 1 without the phase compensator."""
     alpha = complex(alpha)
-    if abs(alpha) >= 1:
-        raise ValueError(f"weak-light regime requires |alpha| < 1, got {abs(alpha)}")
+    size = math.hypot(alpha.real, alpha.imag)  # abs(alpha) raises beyond the float range
+    if size >= 1:
+        raise ValueError(f"weak-light regime requires |alpha| < 1, got {size}")
     photons = coherent_state(alpha, cutoff)
     result = ns_gate(photons, m, apply_compensating_phase=False)
     probs = np.abs(result.output.amplitudes) ** 2
@@ -157,7 +158,10 @@ def poisson_pmf(n: int, mu: float) -> float:
         raise ValueError(f"n must be non-negative, got {n}")
     if not 0 <= mu < math.inf:
         raise ValueError(f"mu must be finite and non-negative, got {mu}")
-    return math.exp(-mu) * mu**n / math.factorial(n)
+    if mu == 0:
+        return float(n == 0)
+    # in logs, so neither mu**n nor n! overflows; a vanishing term is 0.0
+    return math.exp(n * math.log(mu) - mu - math.lgamma(n + 1))
 
 
 @dataclass(frozen=True)

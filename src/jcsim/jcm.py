@@ -117,18 +117,14 @@ def ns_gate_times(kappa_abs: float, m: int) -> float:
     return (2 * m + 1) * math.pi / (math.sqrt(2) * kappa_abs)
 
 
-def _heralded_propagation(m: int, cutoff: int | FockCutoff) -> AtomFieldState:
-    """U(t_m) (|g> (x) sum_n |n>) at |kappa| = 1, phi = 0.
+@lru_cache(maxsize=64)
+def _heralded_propagation(m: int, cutoff: FockCutoff) -> AtomFieldState:
+    """U(t_m) (|g> (x) sum_n |n>) at |kappa| = 1, phi = 0, cached per (m, cutoff).
 
     The ground block is the post-selected diagonal; the |1> sector gives
-    c(m) in ``e_block[0]`` and d(m) in ``g_block[1]``.
+    c(m) in ``e_block[0]`` and d(m) in ``g_block[1]``.  The amplitudes are
+    read-only, so every caller shares the one cached state.
     """
-    return _propagated_at_gate_time(m, as_cutoff(cutoff))
-
-
-@lru_cache(maxsize=64)
-def _propagated_at_gate_time(m: int, cutoff: FockCutoff) -> AtomFieldState:
-    """The cached body of :func:`_heralded_propagation`; its amplitudes are read-only."""
     start = AtomFieldState(cutoff, np.concatenate([np.ones(cutoff.dim), np.zeros(cutoff.dim)]))
     return jcm_propagate(start, JCMParams(1.0, time=ns_gate_times(1.0, m)))
 
@@ -142,7 +138,7 @@ def cm_dm(m: int) -> tuple[complex, float]:
 
     U(t_m)|g,1> = c(m)|e,0> + d(m)|g,1>, read from the propagator.
     """
-    return _one_photon_sector(_heralded_propagation(m, 2))
+    return _one_photon_sector(_heralded_propagation(m, FockCutoff(2)))
 
 
 def ns_post_selected_diagonal(m: int, cutoff: int | FockCutoff) -> np.ndarray:
@@ -151,7 +147,7 @@ def ns_post_selected_diagonal(m: int, cutoff: int | FockCutoff) -> np.ndarray:
     Entry n is <g,n| U(t_m) |g,n>, the factor by which post-selection on
     the ground state scales the photon amplitude on |n>.
     """
-    return _heralded_propagation(m, cutoff).g_block
+    return _heralded_propagation(m, as_cutoff(cutoff)).g_block
 
 
 @dataclass(frozen=True)

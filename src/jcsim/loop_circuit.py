@@ -7,9 +7,10 @@ paths, and the switchable cell swaps V and H while powered.  Both elements
 permute the four basis labels (a|b, V|H) without mixing them, so a photon
 that starts on one label stays on exactly one, and the run tracks that
 label rather than an amplitude vector.  A run is a three-phase schedule
-(inject, circulate, extract) executed as a checked state machine; the
-circulation window is where the atom-field interaction of :mod:`jcsim.jcm`
-happens and is only labeled here, not re-simulated.
+(inject, circulate, extract), and each phase is checked by where the
+photon is after it; the circulation window is where the atom-field
+interaction of :mod:`jcsim.jcm` happens and is only labeled here, not
+re-simulated.
 
 The timing report turns a cavity geometry into the numbers that decide
 feasibility: the cell response time must beat one mirror-to-mirror flight
@@ -45,6 +46,19 @@ def _pockels(label: tuple[str, str], on: bool) -> tuple[str, str]:
     """The powered cell swaps V and H; unpowered it leaves the label alone."""
     path, pol = label
     return (path, _OTHER[pol]) if on else label
+
+
+#: Inject, circulate, extract: the elements the photon meets in order, the
+#: label it must hold after them, and what a schedule that misses it did.
+_PHASES = (
+    (("pbs", "pc"), ("b", "V"),
+     "cell off during injection: the photon stays |H> and the splitter "
+     "throws it straight back out"),
+    (("pbs", "pc"), ("b", "V"),
+     "cell on during circulation: |V> flips to |H> and is ejected mid-gate"),
+    (("pc", "pbs"), ("a", "H"),
+     "cell off during extraction: |V> keeps circulating, the photon is trapped"),
+)
 
 
 class ProtocolViolation(SimulatorError):
@@ -113,44 +127,19 @@ def run_loop_protocol(
             f"injection requires |H> on path a, got |{input_polarization}>"
         )
 
-    inject, circulate, extract = schedule.phases
     steps: list[TraceStep] = []
     label = ("a", "H")
-
-    def step(phase: int, element: str, pc_on: bool) -> None:
-        nonlocal label
-        label = _pbs(label) if element == "pbs" else _pockels(label, pc_on)
-        steps.append(TraceStep(phase, element, pc_on, *label))
-
-    # Phase 1: splitter steers H into the loop, powered cell rotates it to V.
-    step(1, "pbs", inject.pc_on)
-    step(1, "pc", inject.pc_on)
-    if not inject.pc_on:
-        raise ProtocolViolation(
-            "cell off during injection: the photon stays |H> and the splitter "
-            "throws it straight back out"
-        )
-
-    # Phase 2: V circulates across the splitter; a powered cell would flip
-    # it to H and eject it mid-gate.
-    step(2, "pbs", circulate.pc_on)
-    step(2, "pc", circulate.pc_on)
-    if circulate.pc_on:
-        raise ProtocolViolation(
-            "cell on during circulation: |V> flips to |H> and is ejected mid-gate"
-        )
-
-    # Phase 3: powered cell rotates V back to H, the splitter ejects it.
-    step(3, "pc", extract.pc_on)
-    if not extract.pc_on:
-        raise ProtocolViolation(
-            "cell off during extraction: |V> keeps circulating, the photon is trapped"
-        )
-    step(3, "pbs", extract.pc_on)
-
-    if label != ("a", "H"):
-        raise ProtocolViolation("extraction left amplitude inside the loop")
-    return ProtocolTrace(tuple(steps), exit_phase=3, interaction_window=circulate.duration)
+    for number, (phase, (elements, after, violation)) in enumerate(
+        zip(schedule.phases, _PHASES), start=1
+    ):
+        for element in elements:
+            label = _pbs(label) if element == "pbs" else _pockels(label, phase.pc_on)
+            steps.append(TraceStep(number, element, phase.pc_on, *label))
+        if label != after:
+            raise ProtocolViolation(violation)
+    return ProtocolTrace(
+        tuple(steps), exit_phase=3, interaction_window=schedule.phases[1].duration
+    )
 
 
 @dataclass(frozen=True)
@@ -203,6 +192,8 @@ def timing_report(
         raise ValueError("losses must lie in [0, 1)")
     cavity_width = wavelength / 2
     round_trip_time = 2 * cavity_width / SPEED_OF_LIGHT
+    if not round_trip_time > 0:
+        raise ValueError(f"the round-trip time of wavelength {wavelength:g} underflows to 0")
     gate_m1 = ns_gate_times(kappa_abs, 1)
     gate_m3 = ns_gate_times(kappa_abs, 3)
     trips_m1 = gate_m1 / round_trip_time

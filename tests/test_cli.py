@@ -1,9 +1,14 @@
 import argparse
+import contextlib
+import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from jcsim import cli
 from jcsim.cli import _emit, _jsonify, build_parser, main
@@ -400,6 +405,14 @@ def test_loop_timing_record(capsys):
     assert results["survival_m1_scientific"].endswith("e-221147")
 
 
+def test_loop_timing_round_trip_underflow_is_runtime_error(capsys):
+    code, out, err = run_cli(["loop-timing", "--wavelength", "1e-320", "--kappa", "1"], capsys)
+    assert code == 1
+    assert out == ""
+    assert_one_error_line(err)
+    assert "round-trip time" in err
+
+
 def test_loop_protocol_canonical(capsys):
     code, out, _ = run_cli(
         ["loop-protocol", "--kappa", "14285.714285714286", "--m", "1"], capsys
@@ -556,3 +569,74 @@ def test_unknown_command_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
+
+
+# -- numeric flags at the edges of the float range --------------------------------------
+
+EDGES = st.sampled_from(
+    [0.0, -0.0, 5e-324, 1e-320, 2.2e-308, 1e-300, 1e300, -1e300, math.inf, -math.inf, math.nan]
+)
+NUMBERS = EDGES | st.floats()
+COUNTS = st.integers(-3, 200)
+
+
+def _command(name, **flags):
+    # "--flag=value", so a value such as "-inf" is not read as an option
+    return [name, *(f"--{flag.replace('_', '-')}={value}" for flag, value in flags.items())]
+
+
+NUMERIC_COMMANDS = st.one_of(
+    st.builds(
+        _command,
+        st.just("fig4-pmf"),
+        mu1=NUMBERS,
+        mu2=NUMBERS,
+        max_n=COUNTS,
+        format=st.just("json"),
+    ),
+    st.builds(
+        _command,
+        st.just("loop-timing"),
+        wavelength=NUMBERS,
+        kappa=NUMBERS,
+        loss_pc=NUMBERS,
+        loss_pbs=NUMBERS,
+        pc_response=NUMBERS,
+    ),
+    st.builds(_command, st.just("loop-protocol"), kappa=NUMBERS, m=COUNTS),
+    st.builds(
+        _command,
+        st.just("mach-zehnder"),
+        alpha=st.builds(complex, NUMBERS, NUMBERS),
+        theta=NUMBERS,
+        m=COUNTS,
+        n_max=st.integers(0, 12),
+    ),
+)
+
+
+def _no_constants(token):
+    raise AssertionError(f"non-standard JSON constant {token}")
+
+
+@given(NUMERIC_COMMANDS)
+@example(["fig4-pmf", "--format=json", "--max-n=200"])
+@example(["fig4-pmf", "--format=json", "--mu1=1e300", "--max-n=3"])
+@example(["loop-timing", "--wavelength=1e-320", "--kappa=1"])
+@example(["mach-zehnder", "--alpha=1.7e308+1.7e308j", "--theta=0"])
+@example(["mach-zehnder", "--alpha=0.9", "--theta=0", "--n-max=2"])
+@settings(derandomize=True, deadline=None, max_examples=300)
+def test_numeric_flags_exit_cleanly_with_strict_json(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with warnings.catch_warnings():
+            # the coherent-state truncation warning is a stderr line, not a failure
+            warnings.filterwarnings("ignore", r"\|alpha\|\^2 = ", UserWarning)
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if out.getvalue():
+        json.loads(out.getvalue(), parse_constant=_no_constants)

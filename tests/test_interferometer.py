@@ -114,6 +114,12 @@ def test_cavity_rejects_strong_light():
         cavity_ns_output(1.0, 3)
 
 
+def test_cavity_rejects_alpha_beyond_float_range():
+    # |alpha| itself exceeds the largest float
+    with pytest.raises(ValueError, match="weak-light"):
+        cavity_ns_output(1.7e308 + 1.7e308j, 3)
+
+
 def test_error_mass_over_alpha_squared_bounded():
     alphas = [0.4, 0.2, 0.1, 0.05]
     ratios = [cavity_ns_output(a, 3).error_mass / a**2 for a in alphas]
@@ -285,6 +291,18 @@ def test_poisson_pmf_domain():
         poisson_pmf(1, math.nan)
     with pytest.raises(ValueError):
         poisson_pmf(1, math.inf)
+
+
+def test_poisson_pmf_far_tail_and_huge_mean_vanish():
+    # neither mu**n nor n! is formed, so a term below the float range is 0.0
+    assert poisson_pmf(200, 0.4665) == 0.0
+    assert [poisson_pmf(n, 1e300) for n in range(4)] == [0.0] * 4
+    assert [poisson_pmf(n, 0.0) for n in range(4)] == [1.0, 0.0, 0.0, 0.0]
+    for mu in (0.4665, 3.7, 150.0, 800.0):
+        for n in (0, 1, 50, 200, 800):
+            assert poisson_pmf(n, mu) == pytest.approx(
+                scipy_stats.poisson.pmf(n, mu), rel=1e-12, abs=1e-300
+            )
 
 
 # -- Monte Carlo -----------------------------------------------------------------------

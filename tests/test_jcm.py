@@ -261,7 +261,7 @@ def test_ns_gate_propagates_once(monkeypatch):
         return jcm_propagate(s, p)
 
     monkeypatch.setattr(jcm, "jcm_propagate", counting)
-    jcm._propagated_at_gate_time.cache_clear()
+    jcm._heralded_propagation.cache_clear()
     state = uniform_superposition()
     for m in range(3):
         before = len(calls)
@@ -284,7 +284,7 @@ def test_cached_propagation_is_read_only():
     with pytest.raises(ValueError):
         diag[0] = 0.0
     with pytest.raises(ValueError):
-        jcm._heralded_propagation(3, 12).amplitudes[0] = 0.0
+        jcm._heralded_propagation(3, FockCutoff(12)).amplitudes[0] = 0.0
     # so no caller can change what the next one reads
     assert diag.tobytes() == ns_post_selected_diagonal(3, FockCutoff(12)).tobytes()
 

@@ -4,10 +4,14 @@ A function, class or method that only tests call belongs in the tests (or
 in ``tests/oracles.py``), not in the package.  The check is by name: a
 definition counts as reached when any ``Name``, ``Attribute`` or import
 alias in ``src/jcsim`` (without ``__init__``) or ``perfbench/*.py`` spells
-it.
+it.  ``jcsim/__init__.py`` itself binds only ``__version__`` and the layer
+modules, and ``import jcsim`` loads every layer.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -48,3 +52,30 @@ def test_every_public_name_is_reached():
     referenced = set().union(*(_references(tree) for tree in trees.values()))
     assert sorted(defined - referenced - ALLOWED) == []
     assert ALLOWED <= defined - referenced, "an allowlisted name is reached; drop it"
+
+
+LAYERS = {"fock", "interferometer", "jcm", "linear_optics", "loop_circuit"}
+
+
+def test_package_init_binds_only_the_layer_modules():
+    # names live in their layer; ``jcsim`` itself re-exports none of them
+    tree = ast.parse((ROOT / "src" / "jcsim" / "__init__.py").read_text())
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            bound.update(target.id for target in node.targets)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+    assert bound == LAYERS | {"__version__"}
+
+
+def test_import_jcsim_loads_every_layer():
+    # perfbench counts this import as set-up, so the layers must load with it
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    probe = "import sys, jcsim; print(sorted(m for m in sys.modules if m.startswith('jcsim.')))"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert {f"jcsim.{layer}" for layer in LAYERS} <= set(ast.literal_eval(out))

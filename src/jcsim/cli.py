@@ -49,7 +49,9 @@ SCHEMA_VERSION = 1
 
 #: Largest state, in amplitudes, that a ``--n-max`` may ask for: 2**22
 #: complex values are 64 MiB.  It admits the four-mode csf-verify up to
-#: n_max 44 (45**4 amplitudes).
+#: n_max 44 (45**4 amplitudes, 63 MiB), whose peak is four such states (the
+#: gate's input, the previous input's output and the gate's two working
+#: buffers), about 250 MiB.
 MAX_AMPLITUDES = 2**22
 
 
@@ -189,7 +191,10 @@ def _load_schedule(source: str) -> LoopSchedule:
     except OSError:  # inline JSON can exceed filename length limits
         is_file = False
     text = Path(source).read_text() if is_file else source
-    phases = json.loads(text)
+    try:
+        phases = json.loads(text)
+    except RecursionError:  # nested deeper than the stack; no schedule is
+        phases = None
     layout = ValueError(
         "a schedule is a JSON list of objects, each with a boolean 'pc_on' "
         "and a numeric 'duration'"

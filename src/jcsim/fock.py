@@ -137,7 +137,10 @@ class MultiModeState:
     @classmethod
     def from_json(cls, text: str) -> "MultiModeState":
         """Parse the layout :meth:`to_json` writes; anything else is a ValueError."""
-        payload = json.loads(text)
+        try:
+            payload = json.loads(text)
+        except RecursionError:  # nested deeper than the stack; no state layout is
+            payload = None
         if not (
             isinstance(payload, dict)
             and type(payload.get("mode_count")) is int

@@ -35,6 +35,7 @@ import numpy as np
 
 from .errors import DimensionMismatch
 from .fock import (
+    NORMALIZATION_TOL,
     FockCutoff,
     MultiModeState,
     as_cutoff,
@@ -55,12 +56,22 @@ class CavityOutput:
 
 
 def cavity_ns_output(alpha: complex, m: int, cutoff: int | FockCutoff = 12) -> CavityOutput:
-    """Run the heralded gate on |alpha| < 1 without the phase compensator."""
+    """Run the heralded gate on |alpha| < 1 without the phase compensator.
+
+    The truncated coherent input is passed on unrenormalized, so the cutoff
+    must hold all but ``NORMALIZATION_TOL`` of its mass.
+    """
     alpha = complex(alpha)
     size = math.hypot(alpha.real, alpha.imag)  # abs(alpha) raises beyond the float range
     if size >= 1:
         raise ValueError(f"weak-light regime requires |alpha| < 1, got {size}")
     photons = coherent_state(alpha, cutoff)
+    lost = 1.0 - photons.norm_squared()
+    if lost > NORMALIZATION_TOL:  # the gate takes normalized states only
+        raise ValueError(
+            f"a coherent input of |alpha| = {size:g} loses {lost:.3g} of its mass above "
+            f"n_max = {photons.cutoff.n_max}; raise --n-max"
+        )
     result = ns_gate(photons, m, apply_compensating_phase=False)
     probs = np.abs(result.output.amplitudes) ** 2
     error_mass = float(probs[3:].sum())

@@ -114,7 +114,11 @@ def ns_gate_times(kappa_abs: float, m: int) -> float:
         raise ValueError(f"m must be a non-negative integer, got {m}")
     if not 0 < kappa_abs < math.inf:
         raise ValueError(f"kappa must be positive and finite, got {kappa_abs}")
-    return (2 * m + 1) * math.pi / (math.sqrt(2) * kappa_abs)
+    try:
+        half_turns = float(2 * m + 1)
+    except OverflowError:  # an integer m beyond the float range
+        raise ValueError("m must be within the float range") from None
+    return half_turns * math.pi / (math.sqrt(2) * kappa_abs)
 
 
 @lru_cache(maxsize=64)

@@ -17,13 +17,19 @@ per sector.  The two-mode grid is read in rows of fixed (p + q) mod dim,
 dim = n_max + 1: sector N (p = 0..N) and sector N + dim (p = N+1..n_max)
 together hold exactly dim amplitudes, so one batched matmul over dim
 blocks of dim x dim needs no buffer larger than the state.  The blocks are
-cached per dim together with the (p, q) indices that gather each row.
+cached per dim together with the (p, q) indices that gather each row.  A
+pass gathers the pair into a real (row, slot, rest) stack, multiplies, and
+scatters the stack back.
 
 A dual-rail qubit stores one photon across a pair of paths:
 |0bar> = |0>|1> and |1bar> = |1>|0>.  The conditional sign-flip network
 mixes the two "1" rails on a 50:50 splitter, applies a sign-shift gate to
 each, and unmixes with the same splitter, negating exactly the
-|1bar>|1bar> amplitude.
+|1bar>|1bar> amplitude.  All three steps act on the (x1, y1) pair alone and
+conserve its photon number, so the network is one pass: one gather, the
+splitter, the sign shifts as a factor per (row, slot), the herald
+probability and the 1/sqrt scaling folded into the second splitter's
+blocks, and one scatter.
 """
 
 from __future__ import annotations
@@ -35,8 +41,8 @@ from functools import lru_cache
 import numpy as np
 
 from . import jcm
-from .errors import DimensionMismatch, ModeIndexOutOfRange
-from .fock import FockCutoff, MultiModeState, number_state, renormalize
+from .errors import DimensionMismatch, ModeIndexOutOfRange, ZeroStateError
+from .fock import FockCutoff, MultiModeState, number_state
 
 
 def _sector_blocks(max_total: int) -> Iterator[np.ndarray]:
@@ -83,6 +89,31 @@ def _splitter_blocks(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return blocks, p, q
 
 
+def _pair_axes(mode_count: int, mode_i: int, mode_j: int) -> tuple[int, ...]:
+    """Axis order with the addressed pair first, then the other modes in order."""
+    return (mode_i, mode_j, *(k for k in range(mode_count) if k not in (mode_i, mode_j)))
+
+
+def _gather(s: MultiModeState, axes: tuple[int, ...], p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The pair's amplitudes as a real (row, slot, rest) stack, a new buffer.
+
+    Slot p of row r holds |p, q[r, p]> of the pair, over every occupation
+    of the other modes.  The blocks are real, so they mix real and
+    imaginary parts as separate columns.
+    """
+    dim = s.cutoff.dim
+    return s.as_tensor().transpose(axes)[p, q].reshape(dim, dim, -1).view(np.float64)
+
+
+def _scatter(
+    s: MultiModeState, axes: tuple[int, ...], p: np.ndarray, q: np.ndarray, rows: np.ndarray
+) -> MultiModeState:
+    """New state shaped like ``s`` holding ``rows``, laid out as :func:`_gather` reads them."""
+    out = np.empty_like(s.as_tensor())
+    out.transpose(axes)[p, q] = rows.view(np.complex128).reshape(out.shape)
+    return s.with_amplitudes(out.reshape(-1))
+
+
 def beam_splitter(s: MultiModeState, mode_i: int, mode_j: int) -> MultiModeState:
     """Apply the 50:50 splitter to modes (mode_i, mode_j); mode_i carries the plus arm."""
     for mode in (mode_i, mode_j):
@@ -90,16 +121,9 @@ def beam_splitter(s: MultiModeState, mode_i: int, mode_j: int) -> MultiModeState
             raise ModeIndexOutOfRange(f"mode {mode} outside [0, {s.mode_count - 1}]")
     if mode_i == mode_j:
         raise ValueError("beam splitter needs two distinct modes")
-    dim = s.cutoff.dim
-    blocks, p, q = _splitter_blocks(dim)
-    # the addressed pair first, then the other modes in order
-    axes = (mode_i, mode_j, *(k for k in range(s.mode_count) if k not in (mode_i, mode_j)))
-    tens = s.as_tensor().transpose(axes)
-    # The blocks are real, so they mix real and imaginary parts as separate columns.
-    mixed = blocks @ tens[p, q].reshape(dim, dim, -1).view(np.float64)
-    out = np.empty_like(s.as_tensor())
-    out.transpose(axes)[p, q] = mixed.view(np.complex128).reshape(tens.shape)
-    return s.with_amplitudes(out.reshape(-1))
+    blocks, p, q = _splitter_blocks(s.cutoff.dim)
+    axes = _pair_axes(s.mode_count, mode_i, mode_j)
+    return _scatter(s, axes, p, q, blocks @ _gather(s, axes, p, q))
 
 
 # -- conditional sign flip ---------------------------------------------------
@@ -107,8 +131,8 @@ def beam_splitter(s: MultiModeState, mode_i: int, mode_j: int) -> MultiModeState
 #: Rail occupations of logical bit b: |0bar> = |0>|1>, |1bar> = |1>|0>.
 _RAILS = ((0, 1), (1, 0))
 
-# Modes x1 and y1 of the two-qubit register (x1, x2, y1, y2).
-_RAIL_X1, _RAIL_Y1 = 0, 2
+# The pair (x1, y1) of the two-qubit register (x1, x2, y1, y2) first, then x2, y2.
+_CSF_AXES = _pair_axes(4, 0, 2)
 
 
 def logical_basis_state(j: int, k: int, cutoff: int | FockCutoff = 12) -> MultiModeState:
@@ -130,6 +154,13 @@ def csf_gate(
     the returned probability is the compound herald probability (1 for the
     ideal gate).  The heralded gate includes the compensating (-1)^n phase
     shifter whenever d(m) < 0, so the logical signs hold at every m.
+
+    The network runs as one pass over the (x1, y1) pair: the pair is
+    gathered once into the splitter's rows, mixed, scaled in place by the
+    two sign-shift diagonals (slot p of row r holds |p, q[r, p]>), and its
+    squared norm is the herald probability.  The second splitter runs with
+    its blocks scaled by 1/sqrt of that probability, into the gathered
+    buffer, which is spent by then, and the rows are scattered back once.
     """
     if s.mode_count != 4:
         raise DimensionMismatch("the network acts on four modes (x1, x2, y1, y2)")
@@ -138,22 +169,26 @@ def csf_gate(
     dim = s.cutoff.dim
 
     if ns_mode == "ideal":
-        diag = np.ones(dim, dtype=np.complex128)
+        diag = np.ones(dim)
         diag[2] = -1.0
     elif ns_mode == "jcm":
-        diag = jcm.ns_post_selected_diagonal(m, s.cutoff)
-        if diag[1].real < 0:  # d(m) < 0
+        # real at coupling phase 0, so it scales the real stack directly
+        diag = jcm.ns_post_selected_diagonal(m, s.cutoff).real
+        if diag[1] < 0:  # d(m) < 0
             diag = diag * (-1.0) ** np.arange(dim)
     else:
         raise ValueError(f"ns_mode must be 'ideal' or 'jcm', got {ns_mode!r}")
 
-    out = beam_splitter(s, _RAIL_X1, _RAIL_Y1)
-    tens = out.as_tensor() * diag[:, None, None, None] * diag[None, None, :, None]
-    out = out.with_amplitudes(tens.reshape(-1))
-    success_probability = out.norm_squared()
-    out = renormalize(out)
-    out = beam_splitter(out, _RAIL_X1, _RAIL_Y1)
-    return out, float(success_probability)
+    blocks, p, q = _splitter_blocks(dim)
+    rows = _gather(s, _CSF_AXES, p, q)
+    mixed = blocks @ rows
+    mixed *= (diag[p] * diag[q])[:, :, None]
+    success_probability = float(np.vdot(mixed, mixed))
+    if success_probability == 0.0:
+        raise ZeroStateError("nothing survives the cutoff and the sign-shift heralds")
+    np.matmul(blocks / math.sqrt(success_probability), mixed, out=rows)
+    del mixed  # spent, so the scatter's output can take its memory
+    return _scatter(s, _CSF_AXES, p, q, rows), success_probability
 
 
 def csf_truth_table(

@@ -3,7 +3,8 @@
 These deliberately avoid the package's own block/ladder constructions:
 the atom-field propagator is rebuilt as a dense matrix exponential, the
 heralded gate's action as the closed-form cosine and sine of the gate
-angle, and the splitter as an exact symbolic binomial expansion, so each
+angle, the splitter as an exact symbolic binomial expansion, and the
+sign-flip network as three separate passes over the whole state, so each
 checks the production code through arithmetic it does not share.  The
 coherent splitting-law check lives here too: only the tests use it.
 """
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from jcsim.fock import as_cutoff, coherent_state, tensor
+from jcsim.fock import as_cutoff, coherent_state, renormalize, tensor
 from jcsim.linear_optics import beam_splitter
 
 
@@ -44,6 +45,30 @@ def cm_dm_closed_form(m):
     """(c(m), d(m)) with U(t_m)|g,1> = c(m)|e,0> + d(m)|g,1>, at coupling phase 0."""
     angle = (2 * m + 1) * math.pi / math.sqrt(2)
     return -1j * math.sin(angle), math.cos(angle)
+
+
+def csf_composed_reference(s, ns_mode="ideal", m=3):
+    """The sign-flip network as separate passes over the whole 4-mode state.
+
+    ``beam_splitter`` on (x1, y1), the closed-form sign-shift diagonal on
+    each of x1 and y1 of the tensor (with the (-1)^n compensator when
+    d(m) < 0), ``renormalize``, then ``beam_splitter`` again.  Returns the
+    output state and the herald probability, the squared norm before
+    renormalizing.
+    """
+    dim = s.cutoff.dim
+    if ns_mode == "ideal":
+        diag = np.ones(dim)
+        diag[2] = -1.0
+    else:
+        diag = ns_diagonal_closed_form(m, s.cutoff.n_max)
+        if diag[1] < 0:
+            diag = diag * (-1.0) ** np.arange(dim)
+    out = beam_splitter(s, 0, 2)
+    tens = out.as_tensor() * diag[:, None, None, None] * diag[None, None, :, None]
+    out = out.with_amplitudes(tens.reshape(-1))
+    probability = out.norm_squared()
+    return beam_splitter(renormalize(out), 0, 2), probability
 
 
 def multinomial_oracle(n, m, dim):

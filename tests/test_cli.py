@@ -316,6 +316,26 @@ def test_mach_zehnder_exact_only_run(capsys):
     assert np.isclose(sum(record["results"]["exact"]["marginal_d1"]), 1.0, atol=1e-9)
 
 
+@pytest.mark.parametrize(
+    "alpha, n_max, lost",
+    [
+        ("0.5", "6", "9.73e-09"),
+        ("0.99", "6", "7.36e-05"),
+        ("0.99", "8", "9.56e-07"),
+        ("0.99", "10", "8.2e-09"),
+    ],
+)
+def test_mach_zehnder_input_cut_by_the_cutoff_is_runtime_error(alpha, n_max, lost, capsys):
+    code, out, err = run_cli(
+        ["mach-zehnder", "--alpha", alpha, "--theta", "1", "--n-max", n_max], capsys
+    )
+    assert code == 1
+    assert out == ""
+    assert_one_error_line(err)
+    assert f"|alpha| = {alpha} loses {lost} of its mass above n_max = {n_max}" in err
+    assert "raise --n-max" in err
+
+
 # -- sweeps and tables -------------------------------------------------------------
 
 
@@ -506,6 +526,29 @@ def test_loop_protocol_needs_schedule_or_canonical_args(capsys):
     assert exc.value.code == 2
 
 
+HUGE_M = str(10**400)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ns-gate", "--m", HUGE_M, "--input"],
+        ["csf-verify", "--jcm-m", HUGE_M],
+        ["mach-zehnder", "--alpha", "0.5", "--theta", "1", "--m", HUGE_M],
+        ["loop-protocol", "--kappa", "1", "--m", HUGE_M],
+    ],
+    ids=["ns-gate", "csf-verify", "mach-zehnder", "loop-protocol"],
+)
+def test_m_beyond_float_range_is_runtime_error(argv, tmp_path, capsys):
+    if argv[-1] == "--input":
+        argv = [*argv, str(state_file(tmp_path))]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert_one_error_line(err)
+    assert "m must be within the float range" in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -627,6 +670,11 @@ def _no_constants(token):
 @example(["mach-zehnder", "--alpha=0.9", "--theta=0", "--n-max=2"])
 @settings(derandomize=True, deadline=None, max_examples=300)
 def test_numeric_flags_exit_cleanly_with_strict_json(argv):
+    assert_exits_cleanly_with_strict_json(argv)
+
+
+def assert_exits_cleanly_with_strict_json(argv):
+    """``main(argv)`` exits 0, 1 or 2 without a traceback; any stdout is strict JSON."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         with warnings.catch_warnings():
@@ -640,3 +688,91 @@ def test_numeric_flags_exit_cleanly_with_strict_json(argv):
     assert "Traceback" not in err.getvalue()
     if out.getvalue():
         json.loads(out.getvalue(), parse_constant=_no_constants)
+
+
+# -- state and schedule files -----------------------------------------------------------
+
+JSON_NUMBERS = NUMBERS | st.integers() | st.sampled_from([2**63, 10**400, -(10**400)])
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | JSON_NUMBERS | st.text(max_size=4),
+    lambda inner: (
+        st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4)
+    ),
+    max_leaves=12,
+)
+
+
+def _one_mode_state(n_max, n, value):
+    amplitudes = [[0.0, 0.0]] * (n_max + 1)
+    amplitudes[min(n, n_max)] = value
+    return {"mode_count": 1, "n_max": n_max, "amplitudes": amplitudes}
+
+
+STATE_PAYLOADS = st.one_of(
+    JSON_VALUES,
+    st.fixed_dictionaries(
+        {
+            "mode_count": st.integers(-1, 3) | JSON_VALUES,
+            "n_max": st.integers(-1, 4) | JSON_VALUES,
+            "amplitudes": st.lists(
+                st.lists(JSON_NUMBERS, min_size=2, max_size=2) | JSON_VALUES, max_size=30
+            ),
+        }
+    ),
+    st.builds(
+        _one_mode_state,
+        st.integers(2, 8),
+        st.integers(0, 8),
+        st.sampled_from([[1, 0], [0.0, -1.0], [0.6, 0.8]])
+        | st.lists(NUMBERS, min_size=2, max_size=2),
+    ),
+)
+
+
+def _three_phases(durations):
+    return [{"pc_on": on, "duration": d} for on, d in zip((True, False, True), durations)]
+
+
+CANONICAL_SHAPE = _three_phases([1e-9, 1e-7, 1e-9])
+SCHEDULE_PAYLOADS = st.one_of(
+    JSON_VALUES,
+    st.lists(
+        st.fixed_dictionaries(
+            {"pc_on": st.booleans() | JSON_VALUES, "duration": JSON_NUMBERS | JSON_VALUES}
+        ),
+        max_size=4,
+    ),
+    st.builds(_three_phases, st.lists(JSON_NUMBERS, min_size=3, max_size=3)),
+)
+DEEP = ("[" * 100_000 + "]" * 100_000).encode()
+
+
+def _file_contents(payloads):
+    return payloads.map(lambda value: json.dumps(value).encode()) | st.binary(max_size=40)
+
+
+@given(content=_file_contents(STATE_PAYLOADS), m=COUNTS)
+@example(content=DEEP, m=1)
+@example(content=json.dumps(_one_mode_state(4, 2, [1, 0])).encode(), m=3)
+@settings(derandomize=True, deadline=None, max_examples=300)
+def test_state_files_exit_cleanly_with_strict_json(tmp_path_factory, content, m):
+    path = tmp_path_factory.getbasetemp() / "fuzzed_state.json"
+    path.write_bytes(content)
+    assert_exits_cleanly_with_strict_json(["ns-gate", f"--m={m}", f"--input={path}"])
+
+
+@given(text=SCHEDULE_PAYLOADS.map(json.dumps) | st.text(max_size=40))
+@example(text=DEEP.decode())
+@example(text=json.dumps(CANONICAL_SHAPE))
+@settings(derandomize=True, deadline=None, max_examples=300)
+def test_inline_schedules_exit_cleanly_with_strict_json(text):
+    assert_exits_cleanly_with_strict_json(["loop-protocol", f"--schedule={text}"])
+
+
+@given(content=_file_contents(SCHEDULE_PAYLOADS))
+@example(content=DEEP)
+@settings(derandomize=True, deadline=None, max_examples=300)
+def test_schedule_files_exit_cleanly_with_strict_json(tmp_path_factory, content):
+    path = tmp_path_factory.getbasetemp() / "fuzzed_schedule.json"
+    path.write_bytes(content)
+    assert_exits_cleanly_with_strict_json(["loop-protocol", f"--schedule={path}"])

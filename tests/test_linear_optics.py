@@ -1,12 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import coherent_bs_law_check, multinomial_oracle
+from oracles import coherent_bs_law_check, csf_composed_reference, multinomial_oracle
 
-from jcsim.errors import ModeIndexOutOfRange
+from jcsim.errors import ModeIndexOutOfRange, ZeroStateError
 from jcsim.fock import (
     FockCutoff,
     MultiModeState,
@@ -23,6 +24,14 @@ from jcsim.linear_optics import (
     csf_truth_table,
     logical_basis_state,
 )
+
+
+def random_register(n_max, seed):
+    """Random normalized four-mode state over every occupation up to n_max."""
+    rng = np.random.default_rng(seed)
+    size = (n_max + 1) ** 4
+    amps = rng.normal(size=size) + 1j * rng.normal(size=size)
+    return renormalize(MultiModeState(4, FockCutoff(n_max), amps))
 
 
 def random_bounded_state(n_max, seed):
@@ -234,6 +243,40 @@ def test_csf_heralded_m1_keeps_logical_phases(m):
         expected_sign = -1.0 if (j, k) == (1, 1) else 1.0
         amp = logical_amplitude(out, j, k)
         assert np.isclose(amp, expected_sign, atol=1e-9)
+
+
+@pytest.mark.parametrize("n_max", [6, 12, 20])
+@pytest.mark.parametrize("ns_mode, m", [("ideal", 3)] + [("jcm", m) for m in range(5)])
+def test_csf_matches_the_composed_reference(n_max, ns_mode, m):
+    state = random_register(n_max, seed=100 * n_max + m)
+    out, probability = csf_gate(state, ns_mode=ns_mode, m=m)
+    expected, expected_probability = csf_composed_reference(state, ns_mode, m)
+    assert np.abs(out.amplitudes - expected.amplitudes).max() < 1e-13
+    assert abs(probability - expected_probability) < 1e-13
+
+
+@pytest.mark.parametrize("ns_mode", ["ideal", "jcm"])
+def test_csf_peak_memory_is_two_states(ns_mode):
+    # the gathered rows and the mixed rows, then the rows and the output:
+    # the spent gathered buffer takes the second splitter's result
+    state = random_register(20, seed=7)
+    csf_gate(state, ns_mode=ns_mode)  # builds the cached blocks and diagonal
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        csf_gate(state, ns_mode=ns_mode)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.1 * state.amplitudes.nbytes
+
+
+@pytest.mark.parametrize("ns_mode", ["ideal", "jcm"])
+def test_csf_with_nothing_inside_the_cutoff_raises(ns_mode):
+    # |3, 3> on (x1, y1) at n_max 3: the splitter's only kept output |3, 3>
+    # has amplitude 0 (two-photon interference at odd n), so no state survives
+    with pytest.raises(ZeroStateError):
+        csf_gate(number_state([3, 0, 3, 0], 3), ns_mode=ns_mode)
 
 
 def test_csf_rejects_unknown_mode():

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import cmath
 import dataclasses
-import functools
 import json
 import math
 import sys
@@ -47,12 +46,10 @@ from .loop_circuit import (
 
 SCHEMA_VERSION = 1
 
-#: Largest state, in amplitudes, that a ``--n-max`` may ask for: 2**22
-#: complex values are 64 MiB.  It admits the four-mode csf-verify up to
-#: n_max 44 (45**4 amplitudes, 63 MiB), whose peak is four such states (the
-#: gate's input, the previous input's output and the gate's two working
-#: buffers), about 250 MiB.
-MAX_AMPLITUDES = 2**22
+#: Largest array, in bytes, that ``--n-max`` may ask for: 64 MiB.  Only the
+#: two-mode mach-zehnder takes the flag; its largest array is the splitter
+#: kernel, 8 * (n_max + 1)**3 bytes, so n_max goes up to 202.
+MAX_ARRAY_BYTES = 2**26
 
 
 def _jsonify(obj):
@@ -132,8 +129,8 @@ def _cmd_ns_gate(args) -> dict:
 
 def _cmd_csf_verify(args) -> dict:
     if args.jcm_m is None:
-        return {"truth_table": csf_truth_table("ideal", cutoff=args.n_max)}
-    return {"truth_table": csf_truth_table("jcm", args.jcm_m, args.n_max)}
+        return {"truth_table": csf_truth_table("ideal")}
+    return {"truth_table": csf_truth_table("jcm", args.jcm_m)}
 
 
 def _cmd_mach_zehnder(args) -> dict:
@@ -202,7 +199,7 @@ def _load_schedule(source: str) -> LoopSchedule:
     if not isinstance(phases, list) or not all(
         isinstance(p, dict)
         and isinstance(p.get("pc_on"), bool)
-        and isinstance(p.get("duration"), (int, float))
+        and type(p.get("duration")) in (int, float)
         for p in phases
     ):
         raise layout
@@ -223,8 +220,8 @@ def _cmd_loop_protocol(args) -> ProtocolTrace:
 # -- parser -------------------------------------------------------------------
 
 
-def _n_max(text: str, modes: int) -> int:
-    """``--n-max``: a :class:`FockCutoff` whose ``modes``-mode state fits the budget.
+def _n_max(text: str) -> int:
+    """``--n-max``: a :class:`FockCutoff` whose splitter kernel fits the budget.
 
     The size is computed while the flags are parsed, before anything is allocated.
     """
@@ -232,11 +229,11 @@ def _n_max(text: str, modes: int) -> int:
         n_max = FockCutoff(int(text)).n_max
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
-    size = (n_max + 1) ** modes
-    if size > MAX_AMPLITUDES:
+    size = 8 * (n_max + 1) ** 3
+    if size > MAX_ARRAY_BYTES:
         raise argparse.ArgumentTypeError(
-            f"n_max {n_max} needs {size} amplitudes for {modes} modes, "
-            f"above the budget of {MAX_AMPLITUDES}"
+            f"n_max {n_max} needs a {size}-byte splitter kernel, "
+            f"above the budget of {MAX_ARRAY_BYTES} bytes"
         )
     return n_max
 
@@ -259,7 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("csf-verify", help="truth table of the conditional sign flip")
     p.add_argument("--jcm-m", type=int, default=None, help="use the heralded gate at this m")
-    p.add_argument("--n-max", type=functools.partial(_n_max, modes=4), default=6)
     p.add_argument("--out")
 
     p = sub.add_parser("mach-zehnder", help="interferometer run with detection statistics")
@@ -268,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=3)
     p.add_argument("--shots", type=int, default=0)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--n-max", type=functools.partial(_n_max, modes=2), default=12)
+    p.add_argument("--n-max", type=_n_max, default=12)
     p.add_argument("--out")
 
     p = sub.add_parser("fig3-sweep", help="CSV sweep of |F1|, |F2| over theta")

@@ -135,7 +135,7 @@ _RAILS = ((0, 1), (1, 0))
 _CSF_AXES = _pair_axes(4, 0, 2)
 
 
-def logical_basis_state(j: int, k: int, cutoff: int | FockCutoff = 12) -> MultiModeState:
+def logical_basis_state(j: int, k: int, cutoff: int | FockCutoff) -> MultiModeState:
     """|jbar>|kbar> on the four-mode register (x1, x2, y1, y2)."""
     if j not in (0, 1) or k not in (0, 1):
         raise ValueError("logical labels must be 0 or 1")
@@ -191,14 +191,16 @@ def csf_gate(
     return _scatter(s, _CSF_AXES, p, q, rows), success_probability
 
 
-def csf_truth_table(
-    ns_mode: str = "ideal", m: int = 3, cutoff: int | FockCutoff = 6
-) -> list[dict]:
-    """Gate action on the four logical basis states, with herald probabilities."""
+def csf_truth_table(ns_mode: str = "ideal", m: int = 3) -> list[dict]:
+    """Gate action on the four logical basis states, with herald probabilities.
+
+    Exact at n_max 2, the smallest cutoff: each input holds at most two
+    photons on (x1, y1), and every stage conserves that pair's photon number.
+    """
     rows = []
     for j in (0, 1):
         for k in (0, 1):
-            state_in = logical_basis_state(j, k, cutoff)
+            state_in = logical_basis_state(j, k, 2)
             state_out, probability = csf_gate(state_in, ns_mode=ns_mode, m=m)
             amplitudes = {
                 f"{a}{b}": state_out.amplitude(_RAILS[a] + _RAILS[b])

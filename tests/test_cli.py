@@ -482,6 +482,8 @@ def test_loop_protocol_violation_is_runtime_error(capsys):
         '{"pc_on": true, "duration": 1e-9}]' % ("1" * 401),
         '[{"pc_on": true, "duration": 1e-9}, {"pc_on": false, "duration": 1e999}, '
         '{"pc_on": true, "duration": 1e-9}]',
+        '[{"pc_on": true, "duration": true}, {"pc_on": false, "duration": 1e-6}, '
+        '{"pc_on": true, "duration": true}]',
     ],
     ids=[
         "list-of-ints",
@@ -491,6 +493,7 @@ def test_loop_protocol_violation_is_runtime_error(capsys):
         "string-pc-on",
         "integer-beyond-float-range",
         "infinite-duration",
+        "boolean-duration",
     ],
 )
 def test_loop_protocol_malformed_schedule_is_runtime_error(schedule, capsys):
@@ -554,10 +557,17 @@ def test_m_beyond_float_range_is_runtime_error(argv, tmp_path, capsys):
     [
         ["csf-verify", "--n-max", "1"],
         ["csf-verify", "--n-max", "six"],
+        ["csf-verify", "--n-max", "6"],
         ["mach-zehnder", "--alpha", "0.5", "--theta", "1", "--n-max", "1"],
         ["mach-zehnder", "--alpha", "0.5", "--theta", "1", "--n-max", "-3"],
     ],
-    ids=["csf-verify-one", "csf-verify-not-int", "mach-zehnder-one", "mach-zehnder-negative"],
+    ids=[
+        "csf-verify-one",
+        "csf-verify-not-int",
+        "csf-verify-has-no-cutoff",
+        "mach-zehnder-one",
+        "mach-zehnder-negative",
+    ],
 )
 def test_n_max_below_two_is_usage_error(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -569,19 +579,13 @@ def test_n_max_below_two_is_usage_error(argv, capsys):
     assert "--n-max" in captured.err
 
 
-@pytest.mark.parametrize(
-    "argv, modes",
-    [
-        (["csf-verify", "--n-max", "200"], 4),
-        (["csf-verify", "--jcm-m", "3", "--n-max", "45"], 4),
-        (["mach-zehnder", "--alpha", "0.5", "--theta", "1", "--n-max", "2048"], 2),
-    ],
-    ids=["csf-verify-200", "csf-verify-45", "mach-zehnder-2048"],
-)
-def test_n_max_beyond_amplitude_budget_is_usage_error(argv, modes, monkeypatch, capsys):
-    assert (int(argv[-1]) + 1) ** modes > cli.MAX_AMPLITUDES  # computed, never allocated
-    for handler in ("csf_truth_table", "cavity_ns_output"):
+@pytest.mark.parametrize("n_max", ["203", "2048"], ids=["mach-zehnder-203", "mach-zehnder-2048"])
+def test_n_max_beyond_amplitude_budget_is_usage_error(n_max, monkeypatch, capsys):
+    # the splitter kernel's float64 bytes, computed, never allocated
+    assert 8 * (int(n_max) + 1) ** 3 > cli.MAX_ARRAY_BYTES
+    for handler in ("cavity_ns_output", "mach_zehnder"):
         monkeypatch.setattr(cli, handler, lambda *a, **k: pytest.fail("state was built"))
+    argv = ["mach-zehnder", "--alpha", "0.5", "--theta", "1", "--n-max", n_max]
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
@@ -593,10 +597,9 @@ def test_n_max_beyond_amplitude_budget_is_usage_error(argv, modes, monkeypatch, 
 
 def test_amplitude_budget_admits_the_benchmark_cutoffs():
     parser = build_parser()
-    assert parser.parse_args(["csf-verify", "--n-max", "30"]).n_max == 30
-    assert parser.parse_args(["csf-verify", "--n-max", "44"]).n_max == 44
-    mz = ["mach-zehnder", "--alpha", "0.5", "--theta", "1", "--n-max", "2047"]
-    assert parser.parse_args(mz).n_max == 2047
+    mz = ["mach-zehnder", "--alpha", "0.5", "--theta", "1", "--n-max"]
+    for n_max in (12, 16, 202):
+        assert parser.parse_args([*mz, str(n_max)]).n_max == n_max
 
 
 def test_handler_bug_is_not_reported_as_user_error(monkeypatch):

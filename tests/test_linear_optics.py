@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import coherent_bs_law_check, csf_composed_reference, multinomial_oracle
 
+from jcsim import cli
 from jcsim.errors import ModeIndexOutOfRange, ZeroStateError
 from jcsim.fock import (
     FockCutoff,
@@ -245,8 +247,11 @@ def test_csf_heralded_m1_keeps_logical_phases(m):
         assert np.isclose(amp, expected_sign, atol=1e-9)
 
 
+CSF_MODES = [("ideal", 3)] + [("jcm", m) for m in range(5)]
+
+
 @pytest.mark.parametrize("n_max", [6, 12, 20])
-@pytest.mark.parametrize("ns_mode, m", [("ideal", 3)] + [("jcm", m) for m in range(5)])
+@pytest.mark.parametrize("ns_mode, m", CSF_MODES)
 def test_csf_matches_the_composed_reference(n_max, ns_mode, m):
     state = random_register(n_max, seed=100 * n_max + m)
     out, probability = csf_gate(state, ns_mode=ns_mode, m=m)
@@ -285,10 +290,33 @@ def test_csf_rejects_unknown_mode():
 
 
 def test_truth_table_report():
-    rows = csf_truth_table(ns_mode="jcm", m=3, cutoff=6)
-    assert [row["input"] for row in rows] == ["00", "01", "10", "11"]
-    for row in rows:
-        amp = row["amplitudes"][row["input"]]
-        sign = -1.0 if row["input"] == "11" else 1.0
-        assert np.isclose(amp, sign, atol=1e-9)
-        assert row["leakage"] < 1e-12
+    for ns_mode, m in CSF_MODES:
+        rows = csf_truth_table(ns_mode, m)
+        assert [row["input"] for row in rows] == ["00", "01", "10", "11"]
+        for row in rows:
+            amp = row["amplitudes"][row["input"]]
+            sign = -1.0 if row["input"] == "11" else 1.0
+            assert np.isclose(amp, sign, atol=1e-9)
+            assert row["leakage"] < 1e-12
+
+
+@pytest.mark.parametrize("n_max", [6, 12])
+@pytest.mark.parametrize("ns_mode, m", CSF_MODES)
+def test_truth_table_is_exact_at_its_fixed_cutoff(ns_mode, m, n_max):
+    # two photons at most on (x1, y1), conserved by every stage: a larger
+    # cutoff holds only zeros, so the records agree to the last byte
+    rows = []
+    for j, k in [(0, 0), (0, 1), (1, 0), (1, 1)]:
+        out, probability = csf_gate(logical_basis_state(j, k, n_max), ns_mode, m)
+        amplitudes = {f"{a}{b}": logical_amplitude(out, a, b) for a in (0, 1) for b in (0, 1)}
+        kept = sum(abs(z) ** 2 for z in amplitudes.values())
+        rows.append(
+            {
+                "input": f"{j}{k}",
+                "amplitudes": amplitudes,
+                "success_probability": probability,
+                "leakage": max(0.0, out.norm_squared() - kept),
+            }
+        )
+    table = csf_truth_table(ns_mode, m)
+    assert json.dumps(cli._jsonify(table)) == json.dumps(cli._jsonify(rows))

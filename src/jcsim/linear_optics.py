@@ -27,9 +27,9 @@ mixes the two "1" rails on a 50:50 splitter, applies a sign-shift gate to
 each, and unmixes with the same splitter, negating exactly the
 |1bar>|1bar> amplitude.  All three steps act on the (x1, y1) pair alone and
 conserve its photon number, so the network is one pass: one gather, the
-splitter, the sign shifts as a factor per (row, slot), the herald
-probability and the 1/sqrt scaling folded into the second splitter's
-blocks, and one scatter.
+first splitter with the sign shifts folded into its blocks as a factor per
+(row, slot), the herald probability, the second splitter with the 1/sqrt
+scaling folded into its blocks, and one scatter into the spent buffer.
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ def _sector_blocks(max_total: int) -> Iterator[np.ndarray]:
         yield block
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=4)
 def _splitter_blocks(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-row splitter blocks and the gather indices (p, q) of their rows.
 
@@ -77,6 +77,10 @@ def _splitter_blocks(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     with (p + q) % dim = r.  Row r holds sector r (p = 0..r) and sector
     r + dim (p = r+1..dim-1), each cut to the occupations p, N - p < dim
     that the state can hold.  All three arrays are read-only.
+
+    The blocks take 8 dim^3 bytes.  No caller uses more than three
+    dimensions, and the cache keeps four: at the CLI's largest admitted
+    n_max, 202, that is at most 4 x 8 x 203^3 B, about 268 MB.
     """
     blocks = np.zeros((dim, dim, dim))
     for total, block in enumerate(_sector_blocks(2 * dim - 2)):
@@ -106,10 +110,19 @@ def _gather(s: MultiModeState, axes: tuple[int, ...], p: np.ndarray, q: np.ndarr
 
 
 def _scatter(
-    s: MultiModeState, axes: tuple[int, ...], p: np.ndarray, q: np.ndarray, rows: np.ndarray
+    s: MultiModeState,
+    axes: tuple[int, ...],
+    p: np.ndarray,
+    q: np.ndarray,
+    rows: np.ndarray,
+    spent: np.ndarray,
 ) -> MultiModeState:
-    """New state shaped like ``s`` holding ``rows``, laid out as :func:`_gather` reads them."""
-    out = np.empty_like(s.as_tensor())
+    """New state shaped like ``s`` holding ``rows``, laid out as :func:`_gather` reads them.
+
+    The state is written into ``spent``, a stack of the same shape as
+    ``rows`` whose contents are no longer needed, so no buffer is allocated.
+    """
+    out = spent.view(np.complex128).reshape(s.as_tensor().shape)
     out.transpose(axes)[p, q] = rows.view(np.complex128).reshape(out.shape)
     return s.with_amplitudes(out.reshape(-1))
 
@@ -123,7 +136,8 @@ def beam_splitter(s: MultiModeState, mode_i: int, mode_j: int) -> MultiModeState
         raise ValueError("beam splitter needs two distinct modes")
     blocks, p, q = _splitter_blocks(s.cutoff.dim)
     axes = _pair_axes(s.mode_count, mode_i, mode_j)
-    return _scatter(s, axes, p, q, blocks @ _gather(s, axes, p, q))
+    rows = _gather(s, axes, p, q)
+    return _scatter(s, axes, p, q, blocks @ rows, spent=rows)
 
 
 # -- conditional sign flip ---------------------------------------------------
@@ -156,11 +170,14 @@ def csf_gate(
     shifter whenever d(m) < 0, so the logical signs hold at every m.
 
     The network runs as one pass over the (x1, y1) pair: the pair is
-    gathered once into the splitter's rows, mixed, scaled in place by the
-    two sign-shift diagonals (slot p of row r holds |p, q[r, p]>), and its
-    squared norm is the herald probability.  The second splitter runs with
-    its blocks scaled by 1/sqrt of that probability, into the gathered
-    buffer, which is spent by then, and the rows are scattered back once.
+    gathered once into the splitter's rows and mixed by blocks whose output
+    slots carry the two sign-shift diagonals (slot p of row r holds
+    |p, q[r, p]>), so the sign shifts cost no pass over the state.  The
+    squared norm of the mixed rows is the herald probability.  The second
+    splitter runs with its blocks scaled by 1/sqrt of that probability, into
+    the gathered buffer, and the rows are scattered back once, into the
+    mixed buffer.  Each buffer is spent when it is overwritten, so a call
+    allocates two state-sized buffers.
     """
     if s.mode_count != 4:
         raise DimensionMismatch("the network acts on four modes (x1, x2, y1, y2)")
@@ -181,14 +198,12 @@ def csf_gate(
 
     blocks, p, q = _splitter_blocks(dim)
     rows = _gather(s, _CSF_AXES, p, q)
-    mixed = blocks @ rows
-    mixed *= (diag[p] * diag[q])[:, :, None]
+    mixed = (blocks * (diag[p] * diag[q])[:, :, None]) @ rows
     success_probability = float(np.vdot(mixed, mixed))
     if success_probability == 0.0:
         raise ZeroStateError("nothing survives the cutoff and the sign-shift heralds")
     np.matmul(blocks / math.sqrt(success_probability), mixed, out=rows)
-    del mixed  # spent, so the scatter's output can take its memory
-    return _scatter(s, _CSF_AXES, p, q, rows), success_probability
+    return _scatter(s, _CSF_AXES, p, q, rows, spent=mixed), success_probability
 
 
 def csf_truth_table(ns_mode: str = "ideal", m: int = 3) -> list[dict]:

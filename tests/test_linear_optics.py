@@ -13,6 +13,7 @@ from jcsim.errors import ModeIndexOutOfRange, ZeroStateError
 from jcsim.fock import (
     FockCutoff,
     MultiModeState,
+    coherent_state,
     number_state,
     renormalize,
     tensor,
@@ -148,6 +149,13 @@ def test_splitter_cache_is_read_only():
             array[0] = 1
 
 
+def test_splitter_cache_holds_at_most_four_dimensions():
+    # the blocks take 8 dim^3 bytes; no caller uses more than three dimensions
+    for dim in range(3, 8):
+        _splitter_blocks(dim)
+    assert _splitter_blocks.cache_info().currsize <= 4
+
+
 def test_beam_splitter_mode_out_of_range():
     with pytest.raises(ModeIndexOutOfRange):
         beam_splitter(number_state([0, 0], 3), 0, 5)
@@ -250,9 +258,12 @@ def test_csf_heralded_m1_keeps_logical_phases(m):
 CSF_MODES = [("ideal", 3)] + [("jcm", m) for m in range(5)]
 
 
-@pytest.mark.parametrize("n_max", [6, 12, 20])
-@pytest.mark.parametrize("ns_mode, m", CSF_MODES)
-def test_csf_matches_the_composed_reference(n_max, ns_mode, m):
+@pytest.mark.parametrize(
+    "ns_mode, m, n_max",
+    [(ns_mode, m, n_max) for ns_mode, m in CSF_MODES for n_max in (6, 12, 20)]
+    + [("ideal", 3, 30), ("jcm", 3, 30)],  # the benchmark's largest cutoff
+)
+def test_csf_matches_the_composed_reference(ns_mode, m, n_max):
     state = random_register(n_max, seed=100 * n_max + m)
     out, probability = csf_gate(state, ns_mode=ns_mode, m=m)
     expected, expected_probability = csf_composed_reference(state, ns_mode, m)
@@ -262,8 +273,9 @@ def test_csf_matches_the_composed_reference(n_max, ns_mode, m):
 
 @pytest.mark.parametrize("ns_mode", ["ideal", "jcm"])
 def test_csf_peak_memory_is_two_states(ns_mode):
-    # the gathered rows and the mixed rows, then the rows and the output:
-    # the spent gathered buffer takes the second splitter's result
+    # the gathered rows and the mixed rows, and nothing else: the spent
+    # gathered buffer takes the second splitter's result and the spent mixed
+    # buffer the output, while the sign shifts live in the (small) blocks
     state = random_register(20, seed=7)
     csf_gate(state, ns_mode=ns_mode)  # builds the cached blocks and diagonal
     tracemalloc.start()
@@ -274,6 +286,40 @@ def test_csf_peak_memory_is_two_states(ns_mode):
     finally:
         tracemalloc.stop()
     assert peak <= 2.1 * state.amplitudes.nbytes
+
+
+def coherent_register(n_max, seed):
+    """Seeded product of four coherent states, normalized after the cut.
+
+    Mean photon numbers n_max/10..n_max/5 per mode put weight near and above
+    the cutoff on the mixed rails; also returns the mass with n_x1 + n_y1 > n_max.
+    """
+    rng = np.random.default_rng(seed)
+    means = rng.uniform(n_max / 10, n_max / 5, size=4)
+    phases = rng.uniform(0, 2 * np.pi, size=4)
+    alphas = np.sqrt(means) * np.exp(1j * phases)
+    modes = [coherent_state(alpha, n_max) for alpha in alphas]
+    state = modes[0]
+    for mode in modes[1:]:
+        state = tensor(state, mode)
+    p_x1, p_y1 = (np.abs(modes[k].amplitudes) ** 2 / modes[k].norm_squared() for k in (0, 2))
+    n = np.arange(n_max + 1)
+    tail = float((np.outer(p_x1, p_y1) * (n[:, None] + n > n_max)).sum())
+    return renormalize(state), tail
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("n_max", [12, 20])
+@pytest.mark.parametrize("ns_mode", ["ideal", "jcm"])
+def test_csf_truncation_loses_at_most_the_mixed_rails_tail(ns_mode, n_max, seed):
+    # every stage is exact on the (x1, y1) sectors up to n_max, a contraction
+    # above, and the gate renormalizes after the herald: only the input mass
+    # above n_max on the mixed rails can go, in units of the herald probability
+    state, tail = coherent_register(n_max, seed=10 * n_max + seed)
+    assert tail > 0.0
+    out, probability = csf_gate(state, ns_mode=ns_mode)
+    assert 0.0 < probability <= 1.0 + 1e-12
+    assert 1.0 - tail / probability - 1e-12 <= out.norm_squared() <= 1.0 + 1e-12
 
 
 @pytest.mark.parametrize("ns_mode", ["ideal", "jcm"])

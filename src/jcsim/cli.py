@@ -51,6 +51,10 @@ SCHEMA_VERSION = 1
 #: kernel, 8 * (n_max + 1)**3 bytes, so n_max goes up to 202.
 MAX_ARRAY_BYTES = 2**26
 
+#: Most rows a table command may emit: ``fig3-sweep --steps`` rows, and
+#: ``fig4-pmf --max-n`` + 1.  Checked before any row is built.
+MAX_ROWS = 2**16
+
 
 def _jsonify(obj):
     """Recursively reduce results to JSON-serializable deterministic forms."""
@@ -318,14 +322,16 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--seed is required when --shots > 0")
     if args.command == "mach-zehnder" and args.shots < 0:
         parser.error("--shots must be >= 0")
+    if args.command == "mach-zehnder" and args.seed is not None and args.seed < 0:
+        parser.error("--seed must be >= 0")
     if args.command == "mach-zehnder" and not (
         cmath.isfinite(args.alpha) and math.isfinite(args.theta)
     ):
         parser.error("--alpha and --theta must be finite")
-    if args.command == "fig3-sweep" and args.steps < 1:
-        parser.error("--steps must be >= 1")
-    if args.command == "fig4-pmf" and args.max_n < 0:
-        parser.error("--max-n must be >= 0")
+    if args.command == "fig3-sweep" and not 1 <= args.steps <= MAX_ROWS:
+        parser.error(f"--steps must be in [1, {MAX_ROWS}]")
+    if args.command == "fig4-pmf" and not 0 <= args.max_n < MAX_ROWS:
+        parser.error(f"--max-n must be in [0, {MAX_ROWS - 1}]")
     if args.command == "loop-protocol" and args.schedule is None and (
         args.kappa is None or args.m is None
     ):

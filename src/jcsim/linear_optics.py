@@ -8,15 +8,23 @@ two addressed modes transform as
 
 i.e. the symmetric real 50:50 mixing.  This single-particle matrix is a
 Hadamard, so the induced Fock-space unitary is real, symmetric, and its own
-inverse: applying the splitter twice is the identity.  Truncation means the
-exact splitter acts on |n, m> and each mode is then cut at n_max, so the
-result is exact whenever the input's total photon number is at most n_max.
+inverse: applying the splitter twice is the identity.
 
-The splitter conserves the total photon number N, so it acts as one block
-per sector.  The two-mode grid is read in rows of fixed (p + q) mod dim,
-dim = n_max + 1: sector N (p = 0..N) and sector N + dim (p = N+1..n_max)
-together hold exactly dim amplitudes, so one batched matmul over dim
-blocks of dim x dim needs no buffer larger than the state.  The blocks are
+The splitter conserves the pair's total photon number N = n_i + n_j, so it
+acts as one SU(2) rotation per sector (Campos, Saleh & Teich, PRA 40, 1371
+(1989)).  Truncation has one meaning: a splitter keeps the pair's sectors
+N <= n_max, rotates each of them exactly, and sets every amplitude with
+N > n_max to zero.  On the kept sectors it is the exact unitary, so it keeps
+their norm and applying it twice is the projection onto N <= n_max.  The
+pair's mass above n_max is cut by the first splitter that meets it; a later
+splitter on the same pair cuts nothing more.
+
+The two-mode grid is read in rows of fixed (p + q) mod dim, dim = n_max + 1:
+row N holds sector N in slots p = 0..N, and sector N + dim, which lies above
+n_max, in slots p = N+1..n_max.  Row N's block is sector N's rotation,
+padded with zero rows and columns over the slots above n_max, so one batched
+matmul over dim blocks of dim x dim rotates the kept sectors, writes zeros
+over the rest, and needs no buffer larger than the state.  The blocks are
 cached per dim together with the (p, q) indices that gather each row.  A
 pass gathers the pair into a real (row, slot, rest) stack, multiplies, and
 scatters the stack back.
@@ -74,18 +82,18 @@ def _splitter_blocks(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-row splitter blocks and the gather indices (p, q) of their rows.
 
     ``blocks[r, p_out, p_in]`` acts on row r, the amplitudes |p, q[r, p]>
-    with (p + q) % dim = r.  Row r holds sector r (p = 0..r) and sector
-    r + dim (p = r+1..dim-1), each cut to the occupations p, N - p < dim
-    that the state can hold.  All three arrays are read-only.
+    with (p + q) % dim = r.  Slots p = 0..r hold sector r, and its block
+    sits there.  Slots p = r+1..dim-1 hold sector r + dim, above n_max, and
+    meet zero rows and columns, so a pass writes zeros over them.  All three
+    arrays are read-only.
 
     The blocks take 8 dim^3 bytes.  No caller uses more than three
     dimensions, and the cache keeps four: at the CLI's largest admitted
     n_max, 202, that is at most 4 x 8 x 203^3 B, about 268 MB.
     """
     blocks = np.zeros((dim, dim, dim))
-    for total, block in enumerate(_sector_blocks(2 * dim - 2)):
-        lo, hi = max(0, total - dim + 1), min(total, dim - 1) + 1
-        blocks[total % dim, lo:hi, lo:hi] = block[lo:hi, lo:hi]
+    for total, block in enumerate(_sector_blocks(dim - 1)):
+        blocks[total, : total + 1, : total + 1] = block
     p = np.arange(dim)
     q = (p[:, None] - p) % dim
     for array in (blocks, p, q):
@@ -165,8 +173,10 @@ def csf_gate(
     same splitter again (it is its own inverse).  ``ns_mode`` selects the
     exact gate (``"ideal"``) or the atom-heralded realization (``"jcm"``) at
     index ``m`` >= 0; in the latter case both atoms must be found in |g> and
-    the returned probability is the compound herald probability (1 for the
-    ideal gate).  The heralded gate includes the compensating (-1)^n phase
+    the returned probability is the compound herald probability.  Input mass
+    with n_x1 + n_y1 > n_max lies outside the model: the first splitter cuts
+    it, so the probability is at most 1 minus that mass, and equal to it for
+    the ideal gate.  The heralded gate includes the compensating (-1)^n phase
     shifter whenever d(m) < 0, so the logical signs hold at every m.
 
     The network runs as one pass over the (x1, y1) pair: the pair is

@@ -3,7 +3,7 @@
 These deliberately avoid the package's own block/ladder constructions:
 the atom-field propagator is rebuilt as a dense matrix exponential, the
 heralded gate's action as the closed-form cosine and sine of the gate
-angle, the splitter as an exact symbolic binomial expansion, and the
+angle, the splitter as an exact symbolic binomial expansion per sector, and the
 sign-flip network as three separate passes over the whole state, so each
 checks the production code through arithmetic it does not share.  The
 coherent splitting-law check lives here too: only the tests use it.
@@ -76,10 +76,14 @@ def multinomial_oracle(n, m, dim):
 
     Exact binomial double sum: each output amplitude is summed in sympy
     arithmetic and evaluated to a float once, so cancelling terms leave no
-    roundoff.  Occupations at or above ``dim`` are dropped, matching the
-    truncation semantics of the simulator.
+    roundoff.  A pair with n + m above n_max = dim - 1 lies outside the
+    simulator's model, so its column is all zeros.
     """
     import sympy as sp
+
+    out = np.zeros(dim * dim, dtype=complex)
+    if n + m >= dim:
+        return out
 
     prefactor = sp.Rational(1, 2) ** sp.Rational(n + m, 2) / sp.sqrt(
         sp.factorial(n) * sp.factorial(m)
@@ -89,8 +93,6 @@ def multinomial_oracle(n, m, dim):
         for l in range(m + 1):
             p = k + l
             q = n + m - k - l
-            if p >= dim or q >= dim:
-                continue
             coeff = (
                 sp.binomial(n, k)
                 * sp.binomial(m, l)
@@ -98,10 +100,16 @@ def multinomial_oracle(n, m, dim):
                 * sp.sqrt(sp.factorial(p) * sp.factorial(q))
             )
             sums[p * dim + q] = sums.get(p * dim + q, 0) + coeff
-    out = np.zeros(dim * dim, dtype=complex)
     for index, total in sums.items():
         out[index] = float(sp.N(prefactor * total, 30))
     return out
+
+
+def pair_above_cutoff(cutoff):
+    """Flat mask of the two-mode grid where n_0 + n_1 > n_max, outside the model."""
+    cutoff = as_cutoff(cutoff)
+    n = np.arange(cutoff.dim)
+    return (n[:, None] + n > cutoff.n_max).reshape(-1)
 
 
 @dataclass(frozen=True)
@@ -113,19 +121,26 @@ class CoherentSplitReport:
     predicted_plus: complex
     predicted_minus: complex
     deviation_norm: float
+    outside_norm: float
 
 
 def coherent_bs_law_check(alpha, beta, cutoff=12):
     """Check the splitter sends |alpha>|beta> to |(a+b)/sqrt2>|(a-b)/sqrt2>.
 
-    Returns the L2 deviation between the simulated two-mode output and the
-    predicted coherent product; nonzero only through truncation.
+    The splitter rotates each sector N <= n_max exactly and cuts the rest,
+    so the output matches the predicted coherent product on those sectors
+    and holds nothing above them.  Returns the L2 deviation on the kept
+    sectors, a rounding error, and the output's norm above n_max, which is
+    exactly 0.
     """
     cutoff = as_cutoff(cutoff)
     state = tensor(coherent_state(alpha, cutoff), coherent_state(beta, cutoff))
-    out = beam_splitter(state, 0, 1)
+    out = beam_splitter(state, 0, 1).amplitudes
     plus = (alpha + beta) / math.sqrt(2)
     minus = (alpha - beta) / math.sqrt(2)
     predicted = tensor(coherent_state(plus, cutoff), coherent_state(minus, cutoff))
-    deviation = float(np.linalg.norm(out.amplitudes - predicted.amplitudes))
-    return CoherentSplitReport(complex(alpha), complex(beta), plus, minus, deviation)
+    outside = pair_above_cutoff(cutoff)
+    deviation = float(np.linalg.norm((out - predicted.amplitudes)[~outside]))
+    return CoherentSplitReport(
+        complex(alpha), complex(beta), plus, minus, deviation, float(np.linalg.norm(out[outside]))
+    )

@@ -226,6 +226,16 @@ def test_mach_zehnder_requires_seed_for_sampling(capsys):
     assert exc.value.code == 2
 
 
+def test_mach_zehnder_negative_seed_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["mach-zehnder", "--alpha", "0.5", "--theta", "1", "--shots", "10", "--seed", "-1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert_one_error_line(captured.err)
+    assert "--seed must be >= 0" in captured.err
+
+
 def test_mach_zehnder_deterministic_results(tmp_path, capsys):
     argv = [
         "mach-zehnder",
@@ -364,6 +374,25 @@ def test_empty_table_is_usage_error(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert_one_error_line(captured.err)
+
+
+@pytest.mark.parametrize(
+    "command, flag, largest",
+    [("fig3-sweep", "--steps", cli.MAX_ROWS), ("fig4-pmf", "--max-n", cli.MAX_ROWS - 1)],
+)
+def test_row_count_is_bounded_at_parse_time(command, flag, largest, monkeypatch, capsys):
+    # the largest admitted value gives MAX_ROWS rows; one more row exits 2
+    emitted = []
+    monkeypatch.setattr(cli, "_emit", lambda args, results: emitted.append(results["rows"]))
+    assert main([command, flag, str(largest)]) == 0
+    assert len(emitted[0]) == cli.MAX_ROWS
+    with pytest.raises(SystemExit) as exc:
+        main([command, flag, str(largest + 1)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert_one_error_line(captured.err)
+    assert flag in captured.err
 
 
 @pytest.mark.parametrize(

@@ -106,15 +106,42 @@ def test_matches_symbolic_multinomial_oracle(n_max):
             assert np.abs(out.amplitudes - oracle).max() < 1e-9
 
 
-@pytest.mark.parametrize("n, m", [(28, 30), (30, 30), (15, 20)])
+@pytest.mark.parametrize(
+    "n, m", [(15, 15), (0, 30), (10, 20), (28, 30), (30, 30), (15, 20)]
+)
 def test_high_photon_columns_match_symbolic_multinomial_oracle(n, m):
-    out = beam_splitter(number_state([n, m], 30), 0, 1)
-    assert np.abs(out.amplitudes - multinomial_oracle(n, m, 31)).max() < 1e-12
+    out = beam_splitter(number_state([n, m], 30), 0, 1).amplitudes
+    assert np.abs(out - multinomial_oracle(n, m, 31)).max() < 1e-12
+    # N > n_max is outside the model: the splitter cuts the whole column,
+    # and each N lands in its own row r = N - 31 of the blocks' zero slots
+    if n + m > 30:
+        assert not out.any()
+
+
+@pytest.mark.parametrize("n_max", [6, 12, 20, 30])
+@given(st.integers(0, 2**32 - 1), st.permutations(range(3)))
+@settings(max_examples=10)
+def test_splitter_keeps_the_pair_sectors_up_to_n_max_and_cuts_the_rest(n_max, seed, modes):
+    # on a full grid: zeros where the pair's N > n_max, the exact rotation of
+    # every sector below, so the kept norm holds and twice is the projection
+    mode_i, mode_j, _ = modes
+    dim = n_max + 1
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=dim**3) + 1j * rng.normal(size=dim**3)
+    s = renormalize(MultiModeState(3, FockCutoff(n_max), amps))
+    occupations = np.indices((dim,) * 3).reshape(3, -1)
+    outside = occupations[mode_i] + occupations[mode_j] > n_max
+    projected = np.where(outside, 0.0, s.amplitudes)
+    out = beam_splitter(s, mode_i, mode_j)
+    assert not out.amplitudes[outside].any()
+    assert abs(out.norm() - np.linalg.norm(projected)) < 1e-14
+    twice = beam_splitter(out, mode_i, mode_j)
+    assert np.abs(twice.amplitudes - projected).max() < 1e-14
 
 
 def test_sector_blocks_are_orthogonal_involutions():
-    # every sector a cutoff up to n_max = 40 reaches, so n_max 12, 20 and 30 too
-    for total, block in enumerate(_sector_blocks(2 * 40)):
+    # every sector up to the CLI's largest admitted n_max, 202
+    for total, block in enumerate(_sector_blocks(202)):
         identity = np.eye(total + 1)
         assert np.abs(block.T @ block - identity).max() < 1e-12
         assert np.abs(block @ block - identity).max() < 1e-12
@@ -172,8 +199,8 @@ def test_spec_rejects_equal_modes():
 def test_coherent_law_equal_inputs_empty_difference_arm():
     report = coherent_bs_law_check(0.5, 0.5)
     assert report.predicted_minus == 0
-    # deviation is the sqrt of the truncated total-photon tail, ~1e-8 here
-    assert report.deviation_norm < 1e-7
+    assert report.deviation_norm < 1e-14
+    assert report.outside_norm == 0.0
 
 
 def test_coherent_law_half_and_vacuum():
@@ -181,14 +208,16 @@ def test_coherent_law_half_and_vacuum():
     assert np.isclose(report.predicted_plus, 0.5 / math.sqrt(2))
     assert np.isclose(report.predicted_minus, 0.5 / math.sqrt(2))
     assert np.isclose(abs(report.predicted_plus), 0.3536, atol=5e-5)
-    assert report.deviation_norm < 1e-8
+    assert report.deviation_norm < 1e-14
+    assert report.outside_norm == 0.0
 
 
 def test_coherent_law_complex_pair():
     report = coherent_bs_law_check(0.5, 0.5j)
     assert np.isclose(report.predicted_plus, (0.5 + 0.5j) / math.sqrt(2))
     assert np.isclose(report.predicted_minus, (0.5 - 0.5j) / math.sqrt(2))
-    assert report.deviation_norm < 1e-8
+    assert report.deviation_norm < 1e-14
+    assert report.outside_norm == 0.0
 
 
 # -- conditional sign flip -------------------------------------------------------------
@@ -312,20 +341,24 @@ def coherent_register(n_max, seed):
 @pytest.mark.parametrize("n_max", [12, 20])
 @pytest.mark.parametrize("ns_mode", ["ideal", "jcm"])
 def test_csf_truncation_loses_at_most_the_mixed_rails_tail(ns_mode, n_max, seed):
-    # every stage is exact on the (x1, y1) sectors up to n_max, a contraction
-    # above, and the gate renormalizes after the herald: only the input mass
-    # above n_max on the mixed rails can go, in units of the herald probability
+    # the first splitter cuts the (x1, y1) sectors above n_max, the input mass
+    # tail, and rotates the rest exactly; the sign shifts are a contraction
+    # (the identity in the ideal gate), and the renormalized output lies
+    # inside the model, where the second splitter keeps its norm
     state, tail = coherent_register(n_max, seed=10 * n_max + seed)
     assert tail > 0.0
     out, probability = csf_gate(state, ns_mode=ns_mode)
-    assert 0.0 < probability <= 1.0 + 1e-12
-    assert 1.0 - tail / probability - 1e-12 <= out.norm_squared() <= 1.0 + 1e-12
+    if ns_mode == "ideal":
+        assert abs(probability - (1.0 - tail)) < 1e-12
+    else:
+        assert 0.0 < probability <= 1.0 - tail + 1e-12
+    assert abs(out.norm_squared() - 1.0) < 1e-12
 
 
 @pytest.mark.parametrize("ns_mode", ["ideal", "jcm"])
 def test_csf_with_nothing_inside_the_cutoff_raises(ns_mode):
-    # |3, 3> on (x1, y1) at n_max 3: the splitter's only kept output |3, 3>
-    # has amplitude 0 (two-photon interference at odd n), so no state survives
+    # |3, 3> on (x1, y1) at n_max 3 has N = 6 > n_max, outside the model: the
+    # first splitter cuts all of it, so no state survives
     with pytest.raises(ZeroStateError):
         csf_gate(number_state([3, 0, 3, 0], 3), ns_mode=ns_mode)
 

@@ -46,9 +46,10 @@ from .loop_circuit import (
 
 SCHEMA_VERSION = 1
 
-#: Largest array, in bytes, that ``--n-max`` may ask for: 64 MiB.  Only the
-#: two-mode mach-zehnder takes the flag; its largest array is the splitter
-#: kernel, 8 * (n_max + 1)**3 bytes, so n_max goes up to 202.
+#: Budget, in bytes, that ``--n-max`` is checked against: 64 MiB.  Only the
+#: two-mode mach-zehnder takes the flag.  The check takes the dense splitter
+#: bound, 8 * (n_max + 1)**3 bytes, which the folded kernel (about half of
+#: it) and the state stay under, so n_max goes up to 202.
 MAX_ARRAY_BYTES = 2**26
 
 #: Most rows a table command may emit: ``fig3-sweep --steps`` rows, and
@@ -225,7 +226,7 @@ def _cmd_loop_protocol(args) -> ProtocolTrace:
 
 
 def _n_max(text: str) -> int:
-    """``--n-max``: a :class:`FockCutoff` whose splitter kernel fits the budget.
+    """``--n-max``: a :class:`FockCutoff` whose dense splitter bound fits the budget.
 
     The size is computed while the flags are parsed, before anything is allocated.
     """
@@ -236,7 +237,7 @@ def _n_max(text: str) -> int:
     size = 8 * (n_max + 1) ** 3
     if size > MAX_ARRAY_BYTES:
         raise argparse.ArgumentTypeError(
-            f"n_max {n_max} needs a {size}-byte splitter kernel, "
+            f"n_max {n_max} has a dense splitter bound of {size} bytes, "
             f"above the budget of {MAX_ARRAY_BYTES} bytes"
         )
     return n_max

@@ -19,15 +19,17 @@ their norm and applying it twice is the projection onto N <= n_max.  The
 pair's mass above n_max is cut by the first splitter that meets it; a later
 splitter on the same pair cuts nothing more.
 
-The two-mode grid is read in rows of fixed (p + q) mod dim, dim = n_max + 1:
-row N holds sector N in slots p = 0..N, and sector N + dim, which lies above
-n_max, in slots p = N+1..n_max.  Row N's block is sector N's rotation,
-padded with zero rows and columns over the slots above n_max, so one batched
-matmul over dim blocks of dim x dim rotates the kept sectors, writes zeros
-over the rest, and needs no buffer larger than the state.  The blocks are
-cached per dim together with the (p, q) indices that gather each row.  A
-pass gathers the pair into a real (row, slot, rest) stack, multiplies, and
-scatters the stack back.
+The blocks are stored folded, so that only the kept sectors are gathered,
+mixed and carried.  With dim = n_max + 1 there are ceil(dim / 2) rows of
+dim + 1 slots: row r holds sector r in slots 0..r and sector n_max - r
+in slots r+1..n_max+1, so the two sectors fill the row exactly.  When n_max
+is even the lone middle sector n_max / 2 leaves padding at the tail of the
+last row, and pad slots meet zero rows and columns.  One batched matmul over
+the rows rotates every kept sector; the first dim (dim + 1) / 2 slots, read
+flat, are the kept pairs, each once.  The blocks are cached per dim together
+with the (p, q) indices that gather each row.  A pass gathers the kept pairs
+into a real (row, slot, rest) stack, multiplies, and scatters the kept slots
+into a fresh zeroed state, whose zeros are the amplitudes above n_max.
 
 A dual-rail qubit stores one photon across a pair of paths:
 |0bar> = |0>|1> and |1bar> = |1>|0>.  The conditional sign-flip network
@@ -37,7 +39,7 @@ each, and unmixes with the same splitter, negating exactly the
 conserve its photon number, so the network is one pass: one gather, the
 first splitter with the sign shifts folded into its blocks as a factor per
 (row, slot), the herald probability, the second splitter with the 1/sqrt
-scaling folded into its blocks, and one scatter into the spent buffer.
+scaling folded into its blocks, and one scatter into a fresh state.
 """
 
 from __future__ import annotations
@@ -79,23 +81,30 @@ def _sector_blocks(max_total: int) -> Iterator[np.ndarray]:
 
 @lru_cache(maxsize=4)
 def _splitter_blocks(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-row splitter blocks and the gather indices (p, q) of their rows.
+    """Folded splitter blocks and the gather indices (p, q) of their slots.
 
-    ``blocks[r, p_out, p_in]`` acts on row r, the amplitudes |p, q[r, p]>
-    with (p + q) % dim = r.  Slots p = 0..r hold sector r, and its block
-    sits there.  Slots p = r+1..dim-1 hold sector r + dim, above n_max, and
-    meet zero rows and columns, so a pass writes zeros over them.  All three
-    arrays are read-only.
+    ``blocks[r, out, in]`` acts on row r, the amplitudes |p[r, s], q[r, s]>
+    over slots s = 0..dim.  Sector N <= n_max / 2 sits in row N from slot 0,
+    sector N > n_max / 2 in row n_max - N from slot n_max - N + 1, each with
+    its exact block.  Pad slots, the tail of the last row when n_max is even,
+    gather |0, 0> and meet zero rows and columns.  All three arrays are
+    read-only.
 
-    The blocks take 8 dim^3 bytes.  No caller uses more than three
+    The blocks take about 4 dim^3 bytes.  No caller uses more than three
     dimensions, and the cache keeps four: at the CLI's largest admitted
-    n_max, 202, that is at most 4 x 8 x 203^3 B, about 268 MB.
+    n_max, 202, that is at most 4 x 34 MB, about 136 MB.
     """
-    blocks = np.zeros((dim, dim, dim))
-    for total, block in enumerate(_sector_blocks(dim - 1)):
-        blocks[total, : total + 1, : total + 1] = block
-    p = np.arange(dim)
-    q = (p[:, None] - p) % dim
+    n_max = dim - 1
+    row_count = (dim + 1) // 2
+    blocks = np.zeros((row_count, dim + 1, dim + 1))
+    p = np.zeros((row_count, dim + 1), dtype=np.intp)
+    q = np.zeros((row_count, dim + 1), dtype=np.intp)
+    for total, block in enumerate(_sector_blocks(n_max)):
+        row, start = (total, 0) if 2 * total <= n_max else (n_max - total, dim - total)
+        kept = slice(start, start + total + 1)
+        blocks[row, kept, kept] = block
+        p[row, kept] = np.arange(total + 1)
+        q[row, kept] = total - p[row, kept]
     for array in (blocks, p, q):
         array.setflags(write=False)
     return blocks, p, q
@@ -107,31 +116,31 @@ def _pair_axes(mode_count: int, mode_i: int, mode_j: int) -> tuple[int, ...]:
 
 
 def _gather(s: MultiModeState, axes: tuple[int, ...], p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """The pair's amplitudes as a real (row, slot, rest) stack, a new buffer.
+    """The pair's kept amplitudes as a real (row, slot, rest) stack, a new buffer.
 
-    Slot p of row r holds |p, q[r, p]> of the pair, over every occupation
-    of the other modes.  The blocks are real, so they mix real and
-    imaginary parts as separate columns.
+    Slot s of row r holds |p[r, s], q[r, s]> of the pair, over every
+    occupation of the other modes; pairs above n_max are never read.  The
+    blocks are real, so they mix real and imaginary parts as separate
+    columns.
     """
-    dim = s.cutoff.dim
-    return s.as_tensor().transpose(axes)[p, q].reshape(dim, dim, -1).view(np.float64)
+    return s.as_tensor().transpose(axes)[p, q].reshape(*p.shape, -1).view(np.float64)
 
 
 def _scatter(
-    s: MultiModeState,
-    axes: tuple[int, ...],
-    p: np.ndarray,
-    q: np.ndarray,
-    rows: np.ndarray,
-    spent: np.ndarray,
+    s: MultiModeState, axes: tuple[int, ...], p: np.ndarray, q: np.ndarray, rows: np.ndarray
 ) -> MultiModeState:
     """New state shaped like ``s`` holding ``rows``, laid out as :func:`_gather` reads them.
 
-    The state is written into ``spent``, a stack of the same shape as
-    ``rows`` whose contents are no longer needed, so no buffer is allocated.
+    The first dim (dim + 1) / 2 slots, read flat, are written into a fresh
+    zeroed state; the pads are dropped, and every pair above n_max keeps the
+    allocation's zero.
     """
-    out = spent.view(np.complex128).reshape(s.as_tensor().shape)
-    out.transpose(axes)[p, q] = rows.view(np.complex128).reshape(out.shape)
+    dim = s.cutoff.dim
+    kept = dim * (dim + 1) // 2
+    out = np.zeros(s.as_tensor().shape, dtype=np.complex128)
+    pair_first = out.transpose(axes)
+    flat = rows.view(np.complex128).reshape(p.size, *pair_first.shape[2:])
+    pair_first[p.reshape(-1)[:kept], q.reshape(-1)[:kept]] = flat[:kept]
     return s.with_amplitudes(out.reshape(-1))
 
 
@@ -144,8 +153,7 @@ def beam_splitter(s: MultiModeState, mode_i: int, mode_j: int) -> MultiModeState
         raise ValueError("beam splitter needs two distinct modes")
     blocks, p, q = _splitter_blocks(s.cutoff.dim)
     axes = _pair_axes(s.mode_count, mode_i, mode_j)
-    rows = _gather(s, axes, p, q)
-    return _scatter(s, axes, p, q, blocks @ rows, spent=rows)
+    return _scatter(s, axes, p, q, blocks @ _gather(s, axes, p, q))
 
 
 # -- conditional sign flip ---------------------------------------------------
@@ -179,15 +187,15 @@ def csf_gate(
     the ideal gate.  The heralded gate includes the compensating (-1)^n phase
     shifter whenever d(m) < 0, so the logical signs hold at every m.
 
-    The network runs as one pass over the (x1, y1) pair: the pair is
-    gathered once into the splitter's rows and mixed by blocks whose output
-    slots carry the two sign-shift diagonals (slot p of row r holds
-    |p, q[r, p]>), so the sign shifts cost no pass over the state.  The
-    squared norm of the mixed rows is the herald probability.  The second
-    splitter runs with its blocks scaled by 1/sqrt of that probability, into
-    the gathered buffer, and the rows are scattered back once, into the
-    mixed buffer.  Each buffer is spent when it is overwritten, so a call
-    allocates two state-sized buffers.
+    The network runs as one pass over the (x1, y1) pair: its kept sectors
+    are gathered once into the splitter's folded rows and mixed by blocks
+    whose output slots carry the two sign-shift diagonals (slot s of row r
+    holds |p[r, s], q[r, s]>), so the sign shifts cost no pass over the
+    state.  The squared norm of the mixed rows is the herald probability.
+    The second splitter runs with its blocks scaled by 1/sqrt of that
+    probability, into the gathered buffer, the mixed buffer is freed, and
+    the rows are scattered once into a fresh state.  Each row stack is about
+    half a state, so a call peaks near 1.5 state-sized buffers.
     """
     if s.mode_count != 4:
         raise DimensionMismatch("the network acts on four modes (x1, x2, y1, y2)")
@@ -213,7 +221,8 @@ def csf_gate(
     if success_probability == 0.0:
         raise ZeroStateError("nothing survives the cutoff and the sign-shift heralds")
     np.matmul(blocks / math.sqrt(success_probability), mixed, out=rows)
-    return _scatter(s, _CSF_AXES, p, q, rows, spent=mixed), success_probability
+    del mixed
+    return _scatter(s, _CSF_AXES, p, q, rows), success_probability
 
 
 def csf_truth_table(ns_mode: str = "ideal", m: int = 3) -> list[dict]:

@@ -62,7 +62,7 @@ def test_vacuum_invariant():
     assert np.allclose(out.amplitudes, number_state([0, 0], 4).amplitudes)
 
 
-@pytest.mark.parametrize("n_max", [6, 12, 20, 30])
+@pytest.mark.parametrize("n_max", [6, 12, 13, 20, 30])
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=20)
 def test_applied_twice_is_identity(n_max, seed):
@@ -96,7 +96,7 @@ def test_total_photon_distribution_conserved(n_max, seed):
             assert np.allclose(totals, reference, atol=1e-12)
 
 
-@pytest.mark.parametrize("n_max", [2, 3, 4])
+@pytest.mark.parametrize("n_max", [2, 3, 4, 12, 13])
 def test_matches_symbolic_multinomial_oracle(n_max):
     dim = n_max + 1
     for n in range(dim):
@@ -112,13 +112,13 @@ def test_matches_symbolic_multinomial_oracle(n_max):
 def test_high_photon_columns_match_symbolic_multinomial_oracle(n, m):
     out = beam_splitter(number_state([n, m], 30), 0, 1).amplitudes
     assert np.abs(out - multinomial_oracle(n, m, 31)).max() < 1e-12
-    # N > n_max is outside the model: the splitter cuts the whole column,
-    # and each N lands in its own row r = N - 31 of the blocks' zero slots
+    # N > n_max is outside the model: the splitter never gathers the column,
+    # so the output keeps its fresh zeros
     if n + m > 30:
         assert not out.any()
 
 
-@pytest.mark.parametrize("n_max", [6, 12, 20, 30])
+@pytest.mark.parametrize("n_max", [3, 6, 12, 13, 20, 30])
 @given(st.integers(0, 2**32 - 1), st.permutations(range(3)))
 @settings(max_examples=10)
 def test_splitter_keeps_the_pair_sectors_up_to_n_max_and_cuts_the_rest(n_max, seed, modes):
@@ -137,6 +137,40 @@ def test_splitter_keeps_the_pair_sectors_up_to_n_max_and_cuts_the_rest(n_max, se
     assert abs(out.norm() - np.linalg.norm(projected)) < 1e-14
     twice = beam_splitter(out, mode_i, mode_j)
     assert np.abs(twice.amplitudes - projected).max() < 1e-14
+
+
+@pytest.mark.parametrize("n_max", [2, 3, 12, 13])
+def test_folded_rows_hold_each_kept_sector_once_with_its_exact_block(n_max):
+    # read flat, the first dim (dim + 1) / 2 slots are the pairs p + q <= n_max,
+    # each once, and a block couples two slots only within one sector
+    dim = n_max + 1
+    blocks, p, q = _splitter_blocks(dim)
+    assert blocks.shape == ((dim + 1) // 2, dim + 1, dim + 1)
+    kept = dim * (dim + 1) // 2
+    pairs = sorted(zip(p.reshape(-1)[:kept].tolist(), q.reshape(-1)[:kept].tolist()))
+    assert pairs == [(a, b) for a in range(dim) for b in range(dim) if a + b <= n_max]
+    for total, block in enumerate(_sector_blocks(n_max)):
+        row, slots = np.nonzero((p + q == total) & (np.arange(p.size) < kept).reshape(p.shape))
+        assert (row == row[0]).all()
+        assert (p[row[0], slots] == np.arange(total + 1)).all()
+        assert blocks[row[0]][np.ix_(slots, slots)].tobytes() == block.tobytes()
+        others = np.setdiff1d(np.arange(dim + 1), slots)
+        assert not blocks[row[0]][np.ix_(slots, others)].any()
+        assert not blocks[row[0]][np.ix_(others, slots)].any()
+
+
+@pytest.mark.parametrize("n_max", [2, 3, 12, 13])
+def test_pad_slots_sit_at_the_flat_tail_with_zero_rows_and_columns(n_max):
+    # only an even n_max leaves pads: the lone middle sector n_max / 2 fills
+    # the last row's head, and the rest of that row is padding
+    dim = n_max + 1
+    blocks, p, _ = _splitter_blocks(dim)
+    pads = np.arange(dim * (dim + 1) // 2, p.size)
+    assert pads.size == (0 if n_max % 2 else n_max // 2 + 1)
+    rows, slots = np.divmod(pads, dim + 1)
+    assert (rows == blocks.shape[0] - 1).all()
+    assert not blocks[rows, slots, :].any()
+    assert not blocks[rows, :, slots].any()
 
 
 def test_sector_blocks_are_orthogonal_involutions():
@@ -177,7 +211,7 @@ def test_splitter_cache_is_read_only():
 
 
 def test_splitter_cache_holds_at_most_four_dimensions():
-    # the blocks take 8 dim^3 bytes; no caller uses more than three dimensions
+    # the blocks take about 4 dim^3 bytes; no caller uses more than three dimensions
     for dim in range(3, 8):
         _splitter_blocks(dim)
     assert _splitter_blocks.cache_info().currsize <= 4
@@ -289,7 +323,7 @@ CSF_MODES = [("ideal", 3)] + [("jcm", m) for m in range(5)]
 
 @pytest.mark.parametrize(
     "ns_mode, m, n_max",
-    [(ns_mode, m, n_max) for ns_mode, m in CSF_MODES for n_max in (6, 12, 20)]
+    [(ns_mode, m, n_max) for ns_mode, m in CSF_MODES for n_max in (2, 3, 6, 12, 13, 20)]
     + [("ideal", 3, 30), ("jcm", 3, 30)],  # the benchmark's largest cutoff
 )
 def test_csf_matches_the_composed_reference(ns_mode, m, n_max):
@@ -301,10 +335,10 @@ def test_csf_matches_the_composed_reference(ns_mode, m, n_max):
 
 
 @pytest.mark.parametrize("ns_mode", ["ideal", "jcm"])
-def test_csf_peak_memory_is_two_states(ns_mode):
-    # the gathered rows and the mixed rows, and nothing else: the spent
-    # gathered buffer takes the second splitter's result and the spent mixed
-    # buffer the output, while the sign shifts live in the (small) blocks
+def test_csf_peak_memory_is_a_state_and_a_half(ns_mode):
+    # the folded rows hold the kept half of the grid: the gathered and mixed
+    # rows, then the gathered rows, now the second splitter's result, and the
+    # fresh output; the sign shifts live in the (small) blocks
     state = random_register(20, seed=7)
     csf_gate(state, ns_mode=ns_mode)  # builds the cached blocks and diagonal
     tracemalloc.start()
@@ -314,7 +348,7 @@ def test_csf_peak_memory_is_two_states(ns_mode):
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert peak <= 2.1 * state.amplitudes.nbytes
+    assert peak <= 1.6 * state.amplitudes.nbytes
 
 
 def coherent_register(n_max, seed):

@@ -18,6 +18,10 @@ functions F1..F4 of theta; photon counting per branch is then Poissonian
 with means |alpha F_k(theta) / 2|^2.  Detector D1 watches the upper path
 (mode 0), D2 the lower (mode 1).
 
+The cavity output depends on (alpha, m, n_max) but not on theta, so it is
+computed once per key and shared read-only: a theta sweep at fixed alpha runs
+the heralded gate once, and every point after the first reuses it.
+
 Exact joint counting statistics are computed from the simulated two-mode
 state.  The Monte Carlo detection record is one multinomial draw of the
 whole joint count table from that distribution, so its cost does not grow
@@ -30,6 +34,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -59,9 +64,23 @@ def cavity_ns_output(alpha: complex, m: int, cutoff: int | FockCutoff = 12) -> C
     """Run the heralded gate on |alpha| < 1 without the phase compensator.
 
     The truncated coherent input is passed on unrenormalized, so the cutoff
-    must hold all but ``NORMALIZATION_TOL`` of its mass.
+    must hold all but ``NORMALIZATION_TOL`` of its mass.  The output is
+    computed once per (alpha, m, n_max) and shared: keys compare by value,
+    so ``0.5``, ``0.5+0j`` and ``np.float64(0.5)`` hit one entry, and its
+    state is read-only.  A call that raises stores nothing.
     """
-    alpha = complex(alpha)
+    return _heralded_cavity(complex(alpha), m, as_cutoff(cutoff))
+
+
+@lru_cache(maxsize=64)
+def _heralded_cavity(alpha: complex, m: int, cutoff: FockCutoff) -> CavityOutput:
+    """The body of :func:`cavity_ns_output`, cached per normalized key.
+
+    The cache sits on this private helper so that the public function stays
+    a plain function, which the benchmark's tracer wraps on every call.  An
+    entry holds n_max + 1 amplitudes: 64 of them at the CLI's largest
+    n_max, 202, take about 0.2 MB.
+    """
     size = math.hypot(alpha.real, alpha.imag)  # abs(alpha) raises beyond the float range
     if size >= 1:
         raise ValueError(f"weak-light regime requires |alpha| < 1, got {size}")
@@ -254,7 +273,9 @@ def conditional_run(
 
     The detection record is drawn by :func:`sample_conditioned` from the
     exact two-mode counting distribution of the full
-    cavity-plus-interferometer run.
+    cavity-plus-interferometer run.  The cavity comes from
+    :func:`cavity_ns_output`'s per-(alpha, m, n_max) store, so a caller that
+    already ran the cavity at these arguments does not pay for it twice.
     """
     cavity = cavity_ns_output(alpha, m, cutoff)
     stats = detector_statistics(mach_zehnder(cavity.state, alpha, theta))

@@ -42,7 +42,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DimensionMismatch, ZeroStateError
-from .fock import FockCutoff, MultiModeState, as_cutoff, renormalize
+from .fock import FockCutoff, MultiModeState, as_cutoff
 
 
 @dataclass(frozen=True)
@@ -178,16 +178,15 @@ def ns_gate(
     if not input_state.is_normalized:
         raise ValueError("input state must be normalized")
     evolved = _heralded_propagation(m, input_state.cutoff)
-    surviving = input_state.with_amplitudes(input_state.amplitudes * evolved.g_block)
-    success_probability = surviving.norm_squared()
+    surviving = input_state.amplitudes * evolved.g_block
+    success_probability = float(np.vdot(surviving, surviving).real)
     if success_probability == 0.0:
         raise ZeroStateError("atom is never found in |g>; nothing to post-select")
-    output = renormalize(surviving)
+    amps = surviving / math.sqrt(success_probability)
     if apply_compensating_phase:
-        signs = (-1.0) ** np.arange(input_state.cutoff.dim)
-        output = output.with_amplitudes(output.amplitudes * signs)
+        amps = amps * (-1.0) ** np.arange(input_state.cutoff.dim)
     c, d = _one_photon_sector(evolved)
-    return NSGateResult(output, success_probability, c, d)
+    return NSGateResult(input_state.with_amplitudes(amps), success_probability, c, d)
 
 
 def table1() -> list[tuple[int, float, float]]:

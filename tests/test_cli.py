@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from jcsim import cli
 from jcsim.cli import _emit, _jsonify, build_parser, main
 from jcsim.fock import coherent_state, renormalize
-from jcsim.interferometer import conditional_run
+from jcsim.interferometer import _heralded_cavity, conditional_run
 
 
 def run_cli(argv, capsys):
@@ -258,6 +258,20 @@ def test_mach_zehnder_deterministic_results(tmp_path, capsys):
     assert results["monte_carlo"]["seed"] == 42
     assert sum(results["monte_carlo"]["d1_counts"]) == 5000
     assert abs(results["monte_carlo"]["leading_order_estimate"] - 0.07315) < 5e-5
+
+
+def test_mach_zehnder_warm_cavity_gives_the_cold_results(capsys):
+    argv = ["mach-zehnder", "--alpha", "0.5", "--theta", "1.5708", "--m", "3",
+            "--shots", "100000", "--seed", "7"]
+    _heralded_cavity.cache_clear()
+    payloads = []
+    for _ in range(2):
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        payloads.append(json.dumps(json.loads(out)["results"], sort_keys=True))
+    info = _heralded_cavity.cache_info()
+    assert (info.misses, info.hits) == (1, 1)  # the first run fills, the second reuses
+    assert payloads[0] == payloads[1]
 
 
 def test_mach_zehnder_monte_carlo_matches_conditional_run(capsys):

@@ -17,6 +17,7 @@ from jcsim.fock import (
     tensor,
 )
 from jcsim.interferometer import (
+    _heralded_cavity,
     cat_reference,
     cavity_ns_output,
     conditional_run,
@@ -25,7 +26,7 @@ from jcsim.interferometer import (
     mach_zehnder,
     poisson_pmf,
 )
-from jcsim.jcm import cm_dm
+from jcsim.jcm import cm_dm, ns_gate
 
 
 # -- response functions ----------------------------------------------------------
@@ -126,6 +127,54 @@ def test_error_mass_over_alpha_squared_bounded():
     ratios = [cavity_ns_output(a, 3).error_mass / a**2 for a in alphas]
     assert all(r <= ratios[0] for r in ratios)  # monotone in the sweep
     assert ratios[0] < 1e-2
+
+
+# -- cavity store ------------------------------------------------------------------
+
+
+def test_theta_sweep_runs_the_cavity_once_per_key():
+    _heralded_cavity.cache_clear()
+    for alpha in (0.3, 0.5):
+        for theta in np.linspace(0, 2 * math.pi, 64, endpoint=False):
+            mach_zehnder(cavity_ns_output(alpha, 3, 16).state, alpha, theta)
+    info = _heralded_cavity.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (2, 126, 2)
+
+
+def test_equal_keys_share_one_entry():
+    _heralded_cavity.cache_clear()
+    outputs = [
+        cavity_ns_output(alpha, 3, cutoff)
+        for alpha in (0.5, 0.5 + 0j, np.float64(0.5))
+        for cutoff in (12, FockCutoff(12))
+    ]
+    assert all(out is outputs[0] for out in outputs)
+    assert _heralded_cavity.cache_info().currsize == 1
+
+
+@pytest.mark.parametrize(
+    "alpha, n_max, match",
+    [(1.0, 12, "weak-light"), (0.99, 6, "loses 7.36e-05 of its mass")],
+    ids=["strong-light", "cut-input"],
+)
+def test_rejected_inputs_raise_every_time_and_store_nothing(alpha, n_max, match):
+    _heralded_cavity.cache_clear()
+    for _ in range(2):
+        with pytest.raises(ValueError, match=match):
+            cavity_ns_output(alpha, 3, n_max)
+    info = _heralded_cavity.cache_info()
+    assert (info.misses, info.currsize) == (2, 0)
+
+
+@pytest.mark.parametrize("alpha, m, n_max", [(0.5, 3, 12), (0.3 - 0.4j, 1, 16), (0.0, 0, 2)])
+def test_stored_cavity_is_read_only_and_bitwise_the_gate_output(alpha, m, n_max):
+    stored = cavity_ns_output(alpha, m, n_max)
+    assert cavity_ns_output(alpha, m, n_max) is stored
+    assert not stored.state.amplitudes.flags.writeable
+    direct = ns_gate(coherent_state(alpha, n_max), m).output.amplitudes
+    assert stored.state.amplitudes.tobytes() == direct.tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        stored.state.amplitudes[0] = 0
 
 
 # -- reference state -----------------------------------------------------------------

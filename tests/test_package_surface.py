@@ -9,6 +9,8 @@ modules, and ``import jcsim`` loads every layer.
 """
 
 import ast
+import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -52,6 +54,20 @@ def test_every_public_name_is_reached():
     referenced = set().union(*(_references(tree) for tree in trees.values()))
     assert sorted(defined - referenced - ALLOWED) == []
     assert ALLOWED <= defined - referenced, "an allowlisted name is reached; drop it"
+
+
+def test_every_public_function_is_a_plain_function():
+    # perfbench traces only ``inspect.isfunction`` objects: a public name
+    # wrapped in ``lru_cache`` would silently drop out of the layer spans,
+    # so a cache belongs on a private helper behind the public function
+    wrapped = []
+    for path in PACKAGE:
+        module = importlib.import_module(f"jcsim.{path.stem}")
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                if not inspect.isfunction(getattr(module, node.name)):
+                    wrapped.append(f"{path.stem}.{node.name}")
+    assert wrapped == []
 
 
 LAYERS = {"fock", "interferometer", "jcm", "linear_optics", "loop_circuit"}

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from oracles import pair_above_cutoff
 from scipy import stats as scipy_stats
 
+from jcsim import interferometer
+from jcsim.errors import DimensionMismatch
 from jcsim.fock import (
     FockCutoff,
     MultiModeState,
@@ -18,6 +20,7 @@ from jcsim.fock import (
 )
 from jcsim.interferometer import (
     _heralded_cavity,
+    _reference_mix,
     cat_reference,
     cavity_ns_output,
     conditional_run,
@@ -291,6 +294,106 @@ def test_bunching_suppresses_coincidences_at_quarter_turn():
         mach_zehnder(cavity_ns_output(0.5, 3).state, 0.5, math.pi / 2)
     )
     assert stats.joint[1, 1] < 1e-20
+
+
+# -- reference store ---------------------------------------------------------------
+#
+# Every test that warms the store clears it when it finishes: perfbench's
+# tracer test pins two splitter spans under one mach_zehnder call, which holds
+# only while its key is cold.
+
+
+@pytest.fixture
+def cold_reference():
+    _reference_mix.cache_clear()
+    yield
+    _reference_mix.cache_clear()
+
+
+SWEEP = np.linspace(0, 2 * math.pi, 1024, endpoint=False)
+
+
+def test_theta_sweep_mixes_the_reference_once(cold_reference):
+    state = cavity_ns_output(0.5, 3, 16).state
+    for theta in SWEEP:
+        mach_zehnder(state, 0.5, theta)
+    info = _reference_mix.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1023, 1)
+
+
+def test_warm_call_runs_one_splitter_and_no_reference(cold_reference, monkeypatch):
+    state = cavity_ns_output(0.5, 3, 16).state
+    calls = {"beam_splitter": 0, "coherent_state": 0}
+
+    def count(name):
+        original = getattr(interferometer, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(interferometer, name, counted)
+
+    for name in calls:
+        count(name)
+    mach_zehnder(state, 0.5, SWEEP[0])
+    assert calls == {"beam_splitter": 2, "coherent_state": 1}
+    for theta in SWEEP[1:]:
+        mach_zehnder(state, 0.5, theta)
+    assert calls == {"beam_splitter": 1025, "coherent_state": 1}
+
+
+@given(st.floats(-1e3, 1e3))
+@settings(max_examples=20)
+def test_warm_output_is_bitwise_the_cold_output(theta):
+    state = cavity_ns_output(0.5, 3, 12).state
+    try:
+        mach_zehnder(state, 0.5, 0.0)
+        warm = mach_zehnder(state, 0.5, theta).amplitudes
+        assert _reference_mix.cache_info().hits >= 1
+        _reference_mix.cache_clear()
+        cold = mach_zehnder(state, 0.5, theta).amplitudes
+    finally:
+        _reference_mix.cache_clear()
+    assert warm.tobytes() == cold.tobytes()
+
+
+def test_equal_reference_keys_share_one_entry(cold_reference):
+    state = cavity_ns_output(0.5, 3, 12).state
+    twin = MultiModeState(1, FockCutoff(12), state.amplitudes.copy())
+    assert twin is not state
+    for upper in (state, twin):
+        for alpha in (0.5, 0.5 + 0j, np.float64(0.5)):
+            mach_zehnder(upper, alpha, 1.0)
+    info = _reference_mix.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 5, 1)
+
+
+def test_other_input_or_alpha_misses(cold_reference):
+    state = cavity_ns_output(0.5, 3, 12).state
+    mach_zehnder(state, 0.5, 1.0)
+    mach_zehnder(cavity_ns_output(0.5, 1, 12).state, 0.5, 1.0)
+    mach_zehnder(state, 0.4, 1.0)
+    mach_zehnder(state, 0.5j, 1.0)
+    info = _reference_mix.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (4, 0, 4)
+
+
+def test_two_mode_input_raises_and_stores_nothing(cold_reference):
+    pair = tensor(coherent_state(0.5, 12), coherent_state(0.5, 12))
+    with pytest.raises(DimensionMismatch, match="single-mode"):
+        mach_zehnder(pair, 0.5, 1.0)
+    info = _reference_mix.cache_info()
+    assert (info.misses, info.currsize) == (0, 0)
+
+
+def test_stored_reference_mix_is_read_only(cold_reference):
+    state = cavity_ns_output(0.5, 3, 12).state
+    mixed = _reference_mix(state.amplitudes.tobytes(), 0.5 + 0j, state.cutoff)
+    assert _reference_mix(state.amplitudes.tobytes(), 0.5 + 0j, state.cutoff) is mixed
+    assert not mixed.amplitudes.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        mixed.amplitudes[0] = 0
 
 
 # -- detector statistics ----------------------------------------------------------------

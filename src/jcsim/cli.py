@@ -31,7 +31,7 @@ from .interferometer import (
     poisson_pmf,
     sample_conditioned,
 )
-from .jcm import ns_gate, table1
+from .jcm import cm_dm, ns_gate, table1
 from .linear_optics import csf_truth_table
 from .loop_circuit import (
     PC_RESPONSE,
@@ -122,12 +122,13 @@ def _cmd_table1(args) -> dict:
 def _cmd_ns_gate(args) -> dict:
     state = MultiModeState.from_json(Path(args.input).read_text())
     result = ns_gate(state, args.m, apply_compensating_phase=args.phase)
+    c, d = cm_dm(args.m)
     return {
         "m": args.m,
         "success_probability": result.success_probability,
-        "c_m": result.c_m,
-        "c_m_squared": abs(result.c_m) ** 2,
-        "d_m": result.d_m,
+        "c_m": c,
+        "c_m_squared": abs(c) ** 2,
+        "d_m": d,
         "output": result.output.to_json_dict(),
     }
 
@@ -219,7 +220,7 @@ def _cmd_loop_protocol(args) -> ProtocolTrace:
         schedule = _load_schedule(args.schedule)
     else:
         schedule = canonical_schedule(args.kappa, args.m)
-    return run_loop_protocol(schedule, input_polarization=args.polarization)
+    return run_loop_protocol(schedule)
 
 
 # -- parser -------------------------------------------------------------------
@@ -296,7 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--schedule", default=None, help="JSON file or inline JSON phase list")
     p.add_argument("--kappa", type=float, default=None)
     p.add_argument("--m", type=int, default=None)
-    p.add_argument("--polarization", choices=["H", "V"], default="H")
     p.add_argument("--out")
 
     return parser

@@ -163,6 +163,8 @@ def mach_zehnder(
     """
     if input_a1.mode_count != 1:
         raise DimensionMismatch("upper-path input must be a single-mode state")
+    if not math.isfinite(float(theta) * input_a1.cutoff.n_max):  # the top phase n_max theta
+        raise ValueError(f"theta * n_max must be finite, got theta {theta}")
     state = _reference_mix(input_a1.amplitudes.tobytes(), complex(alpha_a2), input_a1.cutoff)
     phases = np.exp(1j * theta * np.arange(state.cutoff.dim))  # |n> -> e^{i n theta}|n>
     tens = state.as_tensor() * phases[:, None]

@@ -5,18 +5,21 @@ excitation number N = (photon number) + (1 if the atom is excited), so its
 propagator U(t) = exp(-i t H) is block diagonal: a 1x1 identity block on
 |g,0> and, for each N >= 1, a 2x2 rotation on {|e,N-1>, |g,N>},
 
-    [[ cos(|k| sqrt(N) t),            -i e^{i phi} sin(|k| sqrt(N) t) ],
-     [ -i e^{-i phi} sin(|k| sqrt(N) t),           cos(|k| sqrt(N) t) ]],
+    [[ cos(sqrt(N) |k| t),        -i sin(sqrt(N) |k| t) ],
+     [ -i sin(sqrt(N) |k| t),         cos(sqrt(N) |k| t) ]].
 
-where phi is the phase of the coupling constant.  The blocks are built in
-closed form, so the evolution is unitary to machine precision with no
-truncation artifacts.  The top orphan state |e, n_max> (whose partner
-|g, n_max+1> lies beyond the cutoff) is held fixed, which is exactly what
-the dense matrix exponential of the truncated generator does.
+U depends on the pulse area |kappa| t alone.  The phase phi of kappa is a
+choice of phase for |e>: U_phi = D U_0 D^dagger with D = e^{i phi} on |e>,
+so phi = 0 loses nothing (it leaves the ground block untouched and only
+rotates the |e> amplitudes).  The blocks are built in closed form, so the
+evolution is unitary to machine precision with no truncation artifacts.
+The top orphan state |e, n_max> (whose partner |g, n_max+1> lies beyond the
+cutoff) is held fixed, which is exactly what the dense matrix exponential
+of the truncated generator does.
 
-Sign-shift protocol: evolve |g> (x) (photon state) for
+Sign-shift protocol: evolve |g> (x) (photon state) for the pulse area
 
-    t_m = (2m+1) pi / (sqrt(2) |kappa|),   m = 0, 1, 2, ...
+    |kappa| t_m = (2m+1) pi / sqrt(2),   m = 0, 1, 2, ...
 
 and keep only runs where the atom is detected in |g>.  At t_m the
 two-photon component picks up exactly -1 while the single-photon component
@@ -26,15 +29,12 @@ weight.  Because U(t_m) is block diagonal, one propagation of
 |g> (x) sum_n |n> holds the whole post-selected diagonal in its ground
 block, and c(m), d(m) in its one-excitation block; every quantity of the
 gate is read from that propagation, which is cached per (m, cutoff) and
-shared read-only by every caller.  |kappa| cancels out of the
-post-selected action and phi only rotates c(m), so the gate runs at
-|kappa| = 1, phi = 0.  For negative d(m) (e.g. the m=3 route) a lossless
-(-1)^n phase shifter restores the |1> sign.
+shared read-only by every caller.  For negative d(m) (e.g. the m=3 route)
+a lossless (-1)^n phase shifter restores the |1> sign.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -43,23 +43,6 @@ import numpy as np
 
 from .errors import DimensionMismatch, ZeroStateError
 from .fock import FockCutoff, MultiModeState, as_cutoff
-
-
-@dataclass(frozen=True)
-class JCMParams:
-    """Coupling magnitude (s^-1), coupling phase (rad), interaction time (s)."""
-
-    kappa_abs: float
-    kappa_phase: float = 0.0
-    time: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not 0 < self.kappa_abs < math.inf:
-            raise ValueError(f"kappa_abs must be positive and finite, got {self.kappa_abs}")
-        if not math.isfinite(self.kappa_phase):
-            raise ValueError(f"kappa_phase must be finite, got {self.kappa_phase}")
-        if not 0 <= self.time < math.inf:
-            raise ValueError(f"time must be non-negative and finite, got {self.time}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,20 +74,21 @@ class AtomFieldState:
         return self.amplitudes[self.cutoff.dim :]
 
 
-def jcm_propagate(s: AtomFieldState, p: JCMParams) -> AtomFieldState:
-    """Apply the exact propagator U(t) block by block."""
+def jcm_propagate(s: AtomFieldState, kappa_t: float) -> AtomFieldState:
+    """Apply the exact propagator at pulse area ``kappa_t`` = |kappa| t, block by block."""
+    if not 0 <= kappa_t < math.inf:
+        raise ValueError(f"kappa_t must be non-negative and finite, got {kappa_t}")
     dim = s.cutoff.dim
     g, e = s.g_block, s.e_block
-    theta = p.kappa_abs * np.sqrt(np.arange(1, dim)) * p.time
+    theta = np.sqrt(np.arange(1, dim)) * kappa_t
     c, sn = np.cos(theta), np.sin(theta)
-    phase = cmath.exp(1j * p.kappa_phase)
 
     out = np.empty(2 * dim, dtype=np.complex128)
     out[0] = g[0]                       # N = 0 block
     out[2 * dim - 1] = e[dim - 1]       # orphan |e, n_max>, partner truncated
     # N = 1..n_max blocks on (|g,N>, |e,N-1>)
-    out[1:dim] = c * g[1:] - 1j * np.conj(phase) * sn * e[: dim - 1]
-    out[dim : 2 * dim - 1] = -1j * phase * sn * g[1:] + c * e[: dim - 1]
+    out[1:dim] = c * g[1:] - 1j * sn * e[: dim - 1]
+    out[dim : 2 * dim - 1] = -1j * sn * g[1:] + c * e[: dim - 1]
     return AtomFieldState(s.cutoff, out)
 
 
@@ -123,18 +107,14 @@ def ns_gate_times(kappa_abs: float, m: int) -> float:
 
 @lru_cache(maxsize=64)
 def _heralded_propagation(m: int, cutoff: FockCutoff) -> AtomFieldState:
-    """U(t_m) (|g> (x) sum_n |n>) at |kappa| = 1, phi = 0, cached per (m, cutoff).
+    """U(t_m) (|g> (x) sum_n |n>), cached per (m, cutoff).
 
     The ground block is the post-selected diagonal; the |1> sector gives
     c(m) in ``e_block[0]`` and d(m) in ``g_block[1]``.  The amplitudes are
     read-only, so every caller shares the one cached state.
     """
     start = AtomFieldState(cutoff, np.concatenate([np.ones(cutoff.dim), np.zeros(cutoff.dim)]))
-    return jcm_propagate(start, JCMParams(1.0, time=ns_gate_times(1.0, m)))
-
-
-def _one_photon_sector(evolved: AtomFieldState) -> tuple[complex, float]:
-    return complex(evolved.e_block[0]), float(evolved.g_block[1].real)
+    return jcm_propagate(start, ns_gate_times(1.0, m))
 
 
 def cm_dm(m: int) -> tuple[complex, float]:
@@ -142,7 +122,8 @@ def cm_dm(m: int) -> tuple[complex, float]:
 
     U(t_m)|g,1> = c(m)|e,0> + d(m)|g,1>, read from the propagator.
     """
-    return _one_photon_sector(_heralded_propagation(m, FockCutoff(2)))
+    evolved = _heralded_propagation(m, FockCutoff(2))
+    return complex(evolved.e_block[0]), float(evolved.g_block[1].real)
 
 
 def ns_post_selected_diagonal(m: int, cutoff: int | FockCutoff) -> np.ndarray:
@@ -160,8 +141,6 @@ class NSGateResult:
 
     output: MultiModeState
     success_probability: float
-    c_m: complex
-    d_m: float
 
 
 def ns_gate(
@@ -177,16 +156,14 @@ def ns_gate(
         raise DimensionMismatch("the gate acts on a single-mode state")
     if not input_state.is_normalized:
         raise ValueError("input state must be normalized")
-    evolved = _heralded_propagation(m, input_state.cutoff)
-    surviving = input_state.amplitudes * evolved.g_block
+    surviving = input_state.amplitudes * _heralded_propagation(m, input_state.cutoff).g_block
     success_probability = float(np.vdot(surviving, surviving).real)
     if success_probability == 0.0:
         raise ZeroStateError("atom is never found in |g>; nothing to post-select")
     amps = surviving / math.sqrt(success_probability)
     if apply_compensating_phase:
         amps = amps * (-1.0) ** np.arange(input_state.cutoff.dim)
-    c, d = _one_photon_sector(evolved)
-    return NSGateResult(input_state.with_amplitudes(amps), success_probability, c, d)
+    return NSGateResult(input_state.with_amplitudes(amps), success_probability)
 
 
 def table1() -> list[tuple[int, float, float]]:

@@ -112,21 +112,14 @@ class ProtocolTrace:
     interaction_window: float  # circulation duration handed to the atom-field gate
 
 
-def run_loop_protocol(
-    schedule: LoopSchedule, input_polarization: str = "H"
-) -> ProtocolTrace:
+def run_loop_protocol(schedule: LoopSchedule) -> ProtocolTrace:
     """Execute the three-phase loop on a single injected photon.
 
-    The photon must arrive horizontally polarized on path a (only H is
-    steered into the loop by the splitter).  Raises
-    :class:`ProtocolViolation` if any phase would eject the photon before
-    extraction or leave it circulating afterwards.
+    The photon arrives horizontally polarized on path a (only H is steered
+    into the loop by the splitter).  Raises :class:`ProtocolViolation` if
+    any phase would eject the photon before extraction or leave it
+    circulating afterwards.
     """
-    if input_polarization != "H":
-        raise ProtocolViolation(
-            f"injection requires |H> on path a, got |{input_polarization}>"
-        )
-
     steps: list[TraceStep] = []
     label = ("a", "H")
     for number, (phase, (elements, after, violation)) in enumerate(

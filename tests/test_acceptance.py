@@ -23,7 +23,6 @@ from jcsim.interferometer import (
 )
 from jcsim.jcm import (
     AtomFieldState,
-    JCMParams,
     jcm_propagate,
     ns_gate_times,
     table1,
@@ -59,7 +58,7 @@ def test_criterion_01_error_probability_table():
 def test_criterion_02_two_photon_sign_flip():
     s = AtomFieldState(FockCutoff(8), np.eye(18)[2])  # |g, 2> at n_max = 8
     t = ns_gate_times(CAVITY_KAPPA, 1)  # 3 pi / (sqrt 2 |kappa|)
-    out = jcm_propagate(s, JCMParams(kappa_abs=CAVITY_KAPPA, time=t))
+    out = jcm_propagate(s, CAVITY_KAPPA * t)
     error = np.abs(out.amplitudes + s.amplitudes).max()
     assert report(2, f"|g,2> -> -|g,2> with amplitude error {error:.2e} < 1e-10", error < 1e-10)
 
@@ -179,9 +178,7 @@ def test_criterion_09_oracle_equivalence():
         for idx in range(dim):
             basis = np.zeros(dim, complex)
             basis[idx] = 1.0
-            out = jcm_propagate(
-                AtomFieldState(FockCutoff(n_max), basis), JCMParams(kappa, 0.0, t)
-            )
+            out = jcm_propagate(AtomFieldState(FockCutoff(n_max), basis), kappa * t)
             if np.abs(out.amplitudes - oracle[:, idx]).max() > 1e-9:
                 propagator_ok = False
 

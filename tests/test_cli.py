@@ -264,19 +264,15 @@ def test_mach_zehnder_warm_cavity_gives_the_cold_results(capsys):
     argv = ["mach-zehnder", "--alpha", "0.5", "--theta", "1.5708", "--m", "3",
             "--shots", "100000", "--seed", "7"]
     _heralded_cavity.cache_clear()
-    _reference_mix.cache_clear()
     payloads = []
-    try:
-        for _ in range(2):
-            code, out, _ = run_cli(argv, capsys)
-            assert code == 0
-            payloads.append(json.dumps(json.loads(out)["results"], sort_keys=True))
-        info = _heralded_cavity.cache_info()
-        assert (info.misses, info.hits) == (1, 1)  # the first run fills, the second reuses
-        info = _reference_mix.cache_info()
-        assert (info.misses, info.hits) == (1, 1)
-    finally:
-        _reference_mix.cache_clear()  # keep perfbench's tracer test cold
+    for _ in range(2):
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        payloads.append(json.dumps(json.loads(out)["results"], sort_keys=True))
+    info = _heralded_cavity.cache_info()
+    assert (info.misses, info.hits) == (1, 1)  # the first run fills, the second reuses
+    info = _reference_mix.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
     assert payloads[0] == payloads[1]
 
 
@@ -328,6 +324,21 @@ def test_mach_zehnder_non_finite_input_is_usage_error(extra, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert_one_error_line(captured.err)
+
+
+def test_mach_zehnder_overflowing_theta_is_runtime_error(capsys):
+    # theta is finite, but its phase on |n_max> is not
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(
+            ["mach-zehnder", "--alpha", "0.5", "--theta", "1e308", "--m", "3"], capsys
+        )
+    assert code == 1
+    assert out == ""
+    assert caught == []
+    assert len(err.splitlines()) == 1
+    assert_one_error_line(err)
+    assert "theta * n_max must be finite" in err
 
 
 def test_emit_refuses_nan_tokens(capsys):
@@ -551,25 +562,6 @@ def test_loop_protocol_malformed_schedule_is_runtime_error(schedule, capsys):
     assert out == ""
     assert_one_error_line(err)
     assert "schedule" in err
-
-
-def test_loop_protocol_unknown_polarization_is_usage_error(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["loop-protocol", "--kappa", "14285.714", "--m", "1", "--polarization", "banana"])
-    assert exc.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert_one_error_line(captured.err)
-
-
-def test_loop_protocol_vertical_injection_is_runtime_error(capsys):
-    code, out, err = run_cli(
-        ["loop-protocol", "--kappa", "14285.714", "--m", "1", "--polarization", "V"], capsys
-    )
-    assert code == 1
-    assert out == ""
-    assert_one_error_line(err)
-    assert "injection requires" in err
 
 
 def test_loop_protocol_needs_schedule_or_canonical_args(capsys):

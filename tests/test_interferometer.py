@@ -298,22 +298,13 @@ def test_bunching_suppresses_coincidences_at_quarter_turn():
 
 # -- reference store ---------------------------------------------------------------
 #
-# Every test that warms the store clears it when it finishes: perfbench's
-# tracer test pins two splitter spans under one mach_zehnder call, which holds
-# only while its key is cold.
-
-
-@pytest.fixture
-def cold_reference():
-    _reference_mix.cache_clear()
-    yield
-    _reference_mix.cache_clear()
+# Every test starts and ends with the store empty (tests/conftest.py).
 
 
 SWEEP = np.linspace(0, 2 * math.pi, 1024, endpoint=False)
 
 
-def test_theta_sweep_mixes_the_reference_once(cold_reference):
+def test_theta_sweep_mixes_the_reference_once():
     state = cavity_ns_output(0.5, 3, 16).state
     for theta in SWEEP:
         mach_zehnder(state, 0.5, theta)
@@ -321,7 +312,7 @@ def test_theta_sweep_mixes_the_reference_once(cold_reference):
     assert (info.misses, info.hits, info.currsize) == (1, 1023, 1)
 
 
-def test_warm_call_runs_one_splitter_and_no_reference(cold_reference, monkeypatch):
+def test_warm_call_runs_one_splitter_and_no_reference(monkeypatch):
     state = cavity_ns_output(0.5, 3, 16).state
     calls = {"beam_splitter": 0, "coherent_state": 0}
 
@@ -347,18 +338,15 @@ def test_warm_call_runs_one_splitter_and_no_reference(cold_reference, monkeypatc
 @settings(max_examples=20)
 def test_warm_output_is_bitwise_the_cold_output(theta):
     state = cavity_ns_output(0.5, 3, 12).state
-    try:
-        mach_zehnder(state, 0.5, 0.0)
-        warm = mach_zehnder(state, 0.5, theta).amplitudes
-        assert _reference_mix.cache_info().hits >= 1
-        _reference_mix.cache_clear()
-        cold = mach_zehnder(state, 0.5, theta).amplitudes
-    finally:
-        _reference_mix.cache_clear()
+    mach_zehnder(state, 0.5, 0.0)
+    warm = mach_zehnder(state, 0.5, theta).amplitudes
+    assert _reference_mix.cache_info().hits >= 1
+    _reference_mix.cache_clear()
+    cold = mach_zehnder(state, 0.5, theta).amplitudes
     assert warm.tobytes() == cold.tobytes()
 
 
-def test_equal_reference_keys_share_one_entry(cold_reference):
+def test_equal_reference_keys_share_one_entry():
     state = cavity_ns_output(0.5, 3, 12).state
     twin = MultiModeState(1, FockCutoff(12), state.amplitudes.copy())
     assert twin is not state
@@ -369,7 +357,7 @@ def test_equal_reference_keys_share_one_entry(cold_reference):
     assert (info.misses, info.hits, info.currsize) == (1, 5, 1)
 
 
-def test_other_input_or_alpha_misses(cold_reference):
+def test_other_input_or_alpha_misses():
     state = cavity_ns_output(0.5, 3, 12).state
     mach_zehnder(state, 0.5, 1.0)
     mach_zehnder(cavity_ns_output(0.5, 1, 12).state, 0.5, 1.0)
@@ -379,7 +367,7 @@ def test_other_input_or_alpha_misses(cold_reference):
     assert (info.misses, info.hits, info.currsize) == (4, 0, 4)
 
 
-def test_two_mode_input_raises_and_stores_nothing(cold_reference):
+def test_two_mode_input_raises_and_stores_nothing():
     pair = tensor(coherent_state(0.5, 12), coherent_state(0.5, 12))
     with pytest.raises(DimensionMismatch, match="single-mode"):
         mach_zehnder(pair, 0.5, 1.0)
@@ -387,7 +375,18 @@ def test_two_mode_input_raises_and_stores_nothing(cold_reference):
     assert (info.misses, info.currsize) == (0, 0)
 
 
-def test_stored_reference_mix_is_read_only(cold_reference):
+@pytest.mark.parametrize("theta", [1e308, -1e308, math.inf, math.nan])
+def test_overflowing_theta_raises_and_stores_nothing(theta):
+    # e^{i n theta} at n = n_max would overflow to NaN amplitudes
+    state = cavity_ns_output(0.5, 3, 12).state
+    mach_zehnder(state, 0.5, 1.0)
+    with pytest.raises(ValueError, match="theta \\* n_max must be finite"):
+        mach_zehnder(cavity_ns_output(0.5, 1, 12).state, 0.5, theta)
+    info = _reference_mix.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
+
+
+def test_stored_reference_mix_is_read_only():
     state = cavity_ns_output(0.5, 3, 12).state
     mixed = _reference_mix(state.amplitudes.tobytes(), 0.5 + 0j, state.cutoff)
     assert _reference_mix(state.amplitudes.tobytes(), 0.5 + 0j, state.cutoff) is mixed

@@ -10,7 +10,6 @@ from jcsim import jcm
 from jcsim.fock import FockCutoff, MultiModeState, number_state, renormalize
 from jcsim.jcm import (
     AtomFieldState,
-    JCMParams,
     cm_dm,
     jcm_propagate,
     ns_gate,
@@ -44,7 +43,7 @@ def random_atom_field(n_max, seed):
 
 def test_ground_vacuum_is_stationary():
     s = atom_field(6, number_state([0], 6).amplitudes, np.zeros(7))
-    out = jcm_propagate(s, JCMParams(kappa_abs=2.0, time=0.73))
+    out = jcm_propagate(s, 2.0 * 0.73)
     assert np.allclose(out.amplitudes, s.amplitudes, atol=1e-14)
 
 
@@ -53,7 +52,7 @@ def test_single_photon_half_rabi_swap():
     # amplitude on -i |e>|0> (confirmed against the dense matrix exponential).
     kappa = 1.7
     s = atom_field(6, number_state([1], 6).amplitudes, np.zeros(7))
-    out = jcm_propagate(s, JCMParams(kappa_abs=kappa, time=math.pi / (2 * kappa)))
+    out = jcm_propagate(s, math.pi / 2)
     expected = np.zeros(14, complex)
     expected[7] = -1j
     assert np.allclose(out.amplitudes, expected, atol=1e-12)
@@ -64,7 +63,7 @@ def test_single_photon_half_rabi_swap():
 def test_two_photon_sign_flip():
     kappa = 1 / 70 * 1e6
     s = atom_field(6, number_state([2], 6).amplitudes, np.zeros(7))
-    out = jcm_propagate(s, JCMParams(kappa_abs=kappa, time=ns_gate_times(kappa, 1)))
+    out = jcm_propagate(s, kappa * ns_gate_times(kappa, 1))
     assert np.abs(out.amplitudes - (-s.amplitudes)).max() < 1e-10
 
 
@@ -72,7 +71,7 @@ def test_two_photon_sign_flip():
 @settings(max_examples=40)
 def test_unitarity(seed, t):
     s = random_atom_field(8, seed)
-    out = jcm_propagate(s, JCMParams(kappa_abs=1.3, kappa_phase=0.4, time=t))
+    out = jcm_propagate(s, 1.3 * t)
     assert abs(np.linalg.norm(out.amplitudes) - 1.0) < 1e-12
 
 
@@ -88,7 +87,7 @@ def excitation_weights(s):
 @settings(max_examples=25)
 def test_excitation_block_weights_conserved(seed, t):
     s = random_atom_field(7, seed)
-    out = jcm_propagate(s, JCMParams(kappa_abs=0.9, time=t))
+    out = jcm_propagate(s, 0.9 * t)
     assert np.allclose(excitation_weights(out), excitation_weights(s), atol=1e-12)
 
 
@@ -96,49 +95,61 @@ def test_excitation_block_weights_conserved(seed, t):
 @settings(max_examples=25)
 def test_group_property(seed, t1, t2):
     s = random_atom_field(6, seed)
-    p = lambda t: JCMParams(kappa_abs=1.1, time=t)
-    sequential = jcm_propagate(jcm_propagate(s, p(t1)), p(t2))
-    direct = jcm_propagate(s, p(t1 + t2))
+    sequential = jcm_propagate(jcm_propagate(s, t1), t2)
+    direct = jcm_propagate(s, t1 + t2)
     assert np.abs(sequential.amplitudes - direct.amplitudes).max() < 1e-10
 
 
 @pytest.mark.parametrize("n_max", [2, 4, 6])
 @pytest.mark.parametrize("kappa_phase", [0.0, 0.8])
 def test_matches_dense_matrix_exponential(n_max, kappa_phase):
+    # the coupling phase is a phase on |e>: U_phi = D U_0 D^dagger with
+    # D = diag(1 on the ground block, e^{i phi} on the excited block)
     kappa, t = 0.83, 1.9
     oracle = dense_propagator(n_max, kappa, kappa_phase, t)
     dim = 2 * (n_max + 1)
+    frame = np.repeat([1.0, np.exp(1j * kappa_phase)], n_max + 1)
     for idx in range(dim):
         basis = np.zeros(dim, complex)
         basis[idx] = 1.0
         s = AtomFieldState(FockCutoff(n_max), basis)
-        out = jcm_propagate(s, JCMParams(kappa, kappa_phase, t))
-        assert np.abs(out.amplitudes - oracle[:, idx]).max() < 1e-9
+        out = frame * jcm_propagate(s, kappa * t).amplitudes * np.conj(frame[idx])
+        assert np.abs(out - oracle[:, idx]).max() < 1e-9
+
+
+def test_dense_oracle_at_any_coupling_gives_the_gate():
+    # at |kappa| = 2.7, phi = 0.8 and t = t_m / 2.7 the full generator heralds
+    # the same diagonal and |1> sector as the package's |kappa| = 1, phi = 0
+    # run: the gate depends on the pulse area alone, and phi only rotates c(m)
+    for m in range(5):
+        c, d = cm_dm(m)
+        for n_max in range(2, 13):
+            u = dense_propagator(n_max, 2.7, 0.8, ns_gate_times(2.7, m))
+            dim = n_max + 1
+            diagonal = np.diag(u)[:dim]
+            assert np.abs(diagonal - ns_post_selected_diagonal(m, n_max)).max() < 1e-12
+            assert abs(abs(u[dim, 1]) - abs(c)) < 1e-12  # <e,0| U |g,1>
+            assert abs(u[1, 1] - d) < 1e-12  # <g,1| U |g,1>
 
 
 # -- gate timing and coefficients ----------------------------------------------
 
 
 @pytest.mark.parametrize(
-    "kwargs",
-    [
-        {"kappa_abs": math.nan, "time": 1.0},
-        {"kappa_abs": math.inf, "time": 1.0},
-        {"kappa_abs": 0.0, "time": 1.0},
-        {"kappa_abs": 1.0, "time": math.nan},
-        {"kappa_abs": 1.0, "time": math.inf},
-        {"kappa_abs": 1.0, "time": -1.0},
-        {"kappa_abs": 1.0, "kappa_phase": math.nan, "time": 1.0},
-        {"kappa_abs": 1.0, "kappa_phase": -math.inf, "time": 1.0},
-    ],
-    ids=[
-        "kappa-nan", "kappa-inf", "kappa-zero", "time-nan", "time-inf", "time-negative",
-        "phase-nan", "phase-inf",
-    ],
+    ("kappa_abs", "time"),
+    [(math.nan, 1.0), (math.inf, 1.0), (-1.0, 1.0), (1.0, math.nan), (1.0, math.inf), (1.0, -1.0)],
+    ids=["kappa-nan", "kappa-inf", "kappa-negative", "time-nan", "time-inf", "time-negative"],
 )
-def test_params_reject_non_finite_and_out_of_domain(kwargs):
-    with pytest.raises(ValueError, match="must be"):
-        JCMParams(**kwargs)
+def test_params_reject_non_finite_and_out_of_domain(kappa_abs, time):
+    # a bad coupling or time reaches the propagator as the pulse area, their
+    # product, and is rejected there instead of giving NaN amplitudes
+    with pytest.raises(ValueError, match="kappa_t must be non-negative and finite"):
+        jcm_propagate(random_atom_field(4, 0), kappa_abs * time)
+
+
+def test_zero_pulse_area_is_the_identity():
+    s = random_atom_field(4, 1)
+    assert jcm_propagate(s, 0.0).amplitudes.tobytes() == s.amplitudes.tobytes()
 
 
 def test_gate_times_cavity_coupling():
@@ -178,9 +189,13 @@ def test_cm_dm_matches_propagated_one_photon_sector():
         c_ref, d_ref = cm_dm_closed_form(m)
         assert abs(c - c_ref) < 1e-12 and abs(d - d_ref) < 1e-12
         for n_max in (2, 5, 12, 30):
+            # bitwise, signed zeros included: ns-gate reports cm_dm(m) at any cutoff
+            evolved = jcm._heralded_propagation(m, FockCutoff(n_max))
+            sector = (complex(evolved.e_block[0]), float(evolved.g_block[1].real))
+            assert repr(sector) == repr((c, d))
             for kappa in (1.0, 2.7):
                 s = atom_field(n_max, number_state([1], n_max).amplitudes, np.zeros(n_max + 1))
-                out = jcm_propagate(s, JCMParams(kappa, 0.0, ns_gate_times(kappa, m)))
+                out = jcm_propagate(s, kappa * ns_gate_times(kappa, m))
                 assert abs(out.e_block[0] - c_ref) < 1e-12
                 assert abs(out.g_block[1] - d_ref) < 1e-12
 
@@ -256,9 +271,9 @@ def test_ns_gate_matches_post_selected_diagonal():
 def test_ns_gate_propagates_once(monkeypatch):
     calls = []
 
-    def counting(s, p):
-        calls.append(p.time)
-        return jcm_propagate(s, p)
+    def counting(s, kappa_t):
+        calls.append(kappa_t)
+        return jcm_propagate(s, kappa_t)
 
     monkeypatch.setattr(jcm, "jcm_propagate", counting)
     jcm._heralded_propagation.cache_clear()
@@ -275,8 +290,7 @@ def test_ns_gate_propagates_once(monkeypatch):
         ns_post_selected_diagonal(m, state.cutoff.n_max)
         ns_post_selected_diagonal(m, FockCutoff(state.cutoff.n_max))
         assert len(calls) == before + 1
-        # c(m) and d(m) come from that same propagation
-        assert (result.c_m, result.d_m) == cm_dm(m)
+
 
 
 def test_cached_propagation_is_read_only():

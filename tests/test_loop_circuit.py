@@ -97,32 +97,23 @@ def test_cell_off_at_extraction_traps_photon():
         run_loop_protocol(schedule)
 
 
-def test_vertical_injection_rejected():
-    with pytest.raises(ProtocolViolation, match="injection requires"):
-        run_loop_protocol(canonical_schedule(KAPPA, 1), input_polarization="V")
-
-
-@pytest.mark.parametrize("polarization", ["H", "V"])
 @pytest.mark.parametrize("pc_on", list(itertools.product([True, False], repeat=3)))
-def test_every_cell_schedule_and_polarization(pc_on, polarization):
+def test_every_cell_schedule(pc_on):
     schedule = LoopSchedule(tuple(LoopPhase(on, 1e-9) for on in pc_on))
     canonical = (True, False, True)
-    if polarization == "H" and pc_on == canonical:
-        final = run_loop_protocol(schedule, polarization).steps[-1]
+    if pc_on == canonical:
+        final = run_loop_protocol(schedule).steps[-1]
         assert (final.path, final.polarization) == ("a", "H")
         return
-    if polarization == "V":
-        expected = "injection requires"
-    else:
-        # the message of the first phase whose cell setting is wrong
-        first_wrong = [on != want for on, want in zip(pc_on, canonical)].index(True)
-        expected = (
-            "cell off during injection",
-            "cell on during circulation",
-            "cell off during extraction",
-        )[first_wrong]
+    # the message of the first phase whose cell setting is wrong
+    first_wrong = [on != want for on, want in zip(pc_on, canonical)].index(True)
+    expected = (
+        "cell off during injection",
+        "cell on during circulation",
+        "cell off during extraction",
+    )[first_wrong]
     with pytest.raises(ProtocolViolation, match=expected):
-        run_loop_protocol(schedule, polarization)
+        run_loop_protocol(schedule)
 
 
 def test_schedule_needs_three_phases():

@@ -46,10 +46,10 @@ from .loop_circuit import (
 
 SCHEMA_VERSION = 1
 
-#: Budget, in bytes, that ``--n-max`` is checked against: 64 MiB.  Only the
-#: two-mode mach-zehnder takes the flag.  The check takes the dense splitter
-#: bound, 8 * (n_max + 1)**3 bytes, which the folded kernel (about half of
-#: it) and the state stay under, so n_max goes up to 202.
+#: Budget, in bytes, that ``--n-max`` is checked against: 64 MiB.  Only
+#: mach-zehnder takes the flag.  The check takes its largest array, the
+#: three-mode labelled copy that builds the theta polynomial, 16 * (n_max + 1)**3
+#: bytes, so n_max goes up to 160.
 MAX_ARRAY_BYTES = 2**26
 
 #: Most rows a table command may emit: ``fig3-sweep --steps`` rows, and
@@ -227,7 +227,7 @@ def _cmd_loop_protocol(args) -> ProtocolTrace:
 
 
 def _n_max(text: str) -> int:
-    """``--n-max``: a :class:`FockCutoff` whose dense splitter bound fits the budget.
+    """``--n-max``: a :class:`FockCutoff` whose largest mach-zehnder array fits the budget.
 
     The size is computed while the flags are parsed, before anything is allocated.
     """
@@ -235,10 +235,10 @@ def _n_max(text: str) -> int:
         n_max = FockCutoff(int(text)).n_max
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
-    size = 8 * (n_max + 1) ** 3
+    size = 16 * (n_max + 1) ** 3
     if size > MAX_ARRAY_BYTES:
         raise argparse.ArgumentTypeError(
-            f"n_max {n_max} has a dense splitter bound of {size} bytes, "
+            f"n_max {n_max} needs a {size}-byte three-mode array, "
             f"above the budget of {MAX_ARRAY_BYTES} bytes"
         )
     return n_max
@@ -325,6 +325,8 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--shots must be >= 0")
     if args.command == "mach-zehnder" and args.seed is not None and args.seed < 0:
         parser.error("--seed must be >= 0")
+    if args.command == "mach-zehnder" and args.shots == 0 and args.seed is not None:
+        parser.error("--seed seeds the sampler, which runs only with --shots > 0")
     if args.command == "mach-zehnder" and not (
         cmath.isfinite(args.alpha) and math.isfinite(args.theta)
     ):
@@ -337,6 +339,10 @@ def main(argv: list[str] | None = None) -> int:
         args.kappa is None or args.m is None
     ):
         parser.error("provide --schedule, or both --kappa and --m for the canonical one")
+    if args.command == "loop-protocol" and args.schedule is not None and (
+        args.kappa is not None or args.m is not None
+    ):
+        parser.error("--schedule replaces the canonical schedule; drop --kappa and --m")
 
     try:
         _emit(args, _HANDLERS[args.command](args))

@@ -20,12 +20,20 @@ with means |alpha F_k(theta) / 2|^2.  Detector D1 watches the upper path
 
 The cavity output depends on (alpha, m, n_max) but not on theta, so it is
 computed once per key and shared read-only: a theta sweep at fixed alpha runs
-the heralded gate once, and every point after the first reuses it.  The
-Mach-Zehnder's half before the phase (reference |alpha>, product state, first
-splitter) is shared the same way per (input state, alpha, n_max), so a point
-after the first pays for the phase and one splitter.  A warm point builds no
-reference, so ``coherent_state``'s ``|alpha|^2 > n_max/4`` warning fires on a
-cold call only.
+the heralded gate once, and every point after the first reuses it.
+
+Every element of the Mach-Zehnder conserves photon number sector by sector
+(Campos, Saleh & Teich, PRA 40, 1371 (1989)), and the phase multiplies the
+upper path's n photons by e^{i n theta}.  So the output is a polynomial of
+degree n_max in e^{i theta} (the SU(2) view of Yurke, McCall & Klauder, PRA
+33, 4033 (1986)): out(theta) = sum_n e^{i n theta} C[n], with C[n] = B Pi_n B
+(input x |alpha>), B the splitter and Pi_n the projection onto n photons in
+the upper path.  The coefficients are built once per (input state, alpha,
+n_max), by the first splitter and then the second on a copy of its output
+that carries n as a third mode's label, and shared read-only.  A call, cold
+or warm, contracts them with the phases, so a warm call runs no splitter and
+builds no reference: ``coherent_state``'s ``|alpha|^2 > n_max/4`` warning
+fires on a cold call only.
 
 Exact joint counting statistics are computed from the simulated two-mode
 state.  The Monte Carlo detection record is one multinomial draw of the
@@ -54,7 +62,7 @@ from .fock import (
     tensor,
 )
 from .jcm import ns_gate
-from .linear_optics import beam_splitter
+from .linear_optics import _splitter_blocks, beam_splitter
 
 
 @dataclass(frozen=True)
@@ -84,7 +92,7 @@ def _heralded_cavity(alpha: complex, m: int, cutoff: FockCutoff) -> CavityOutput
     The cache sits on this private helper so that the public function stays
     a plain function, which the benchmark's tracer wraps on every call.  An
     entry holds n_max + 1 amplitudes: 64 of them at the CLI's largest
-    n_max, 202, take about 0.2 MB.
+    n_max, 160, take about 0.2 MB.
     """
     size = math.hypot(alpha.real, alpha.imag)  # abs(alpha) raises beyond the float range
     if size >= 1:
@@ -151,36 +159,64 @@ def mach_zehnder(
     """Interfere a single-mode state with a reference coherent state.
 
     Splitter, phase theta on the upper path, splitter again (both with the
-    same forward convention).  Returns the two-mode output state.  The half
-    before the phase, the reference |alpha_a2>, its product with the input
-    and the first splitter, does not depend on theta: it is computed once
-    per (input, alpha_a2, n_max) and shared, so each further theta runs only
-    the phase and the second splitter.  Keys compare by value: an equal
-    input that is a different object, or ``0.5``, ``0.5+0j`` and
-    ``np.float64(0.5)``, hit one entry.  A warm call builds no reference, so
-    ``coherent_state``'s ``|alpha|^2 > n_max/4`` warning fires on a cold
-    call only.
+    same forward convention).  Returns the two-mode output state.  The output
+    is a polynomial in e^{i theta} whose coefficients, one per upper-path
+    photon number n = 0..n_max, do not depend on theta: they are built once
+    per (input, alpha_a2, n_max) and shared, and each call sums them with the
+    phases e^{i n theta}.  So a warm call runs no splitter and builds no
+    reference, and ``coherent_state``'s ``|alpha|^2 > n_max/4`` warning fires
+    on a cold call only.  Keys compare by value: an equal input that is a
+    different object, or ``0.5``, ``0.5+0j`` and ``np.float64(0.5)``, hit one
+    entry.
     """
     if input_a1.mode_count != 1:
         raise DimensionMismatch("upper-path input must be a single-mode state")
     if not math.isfinite(float(theta) * input_a1.cutoff.n_max):  # the top phase n_max theta
         raise ValueError(f"theta * n_max must be finite, got theta {theta}")
-    state = _reference_mix(input_a1.amplitudes.tobytes(), complex(alpha_a2), input_a1.cutoff)
-    phases = np.exp(1j * theta * np.arange(state.cutoff.dim))  # |n> -> e^{i n theta}|n>
-    tens = state.as_tensor() * phases[:, None]
-    return beam_splitter(state.with_amplitudes(tens.reshape(-1)), 0, 1)
+    cutoff = input_a1.cutoff
+    kept, table = _theta_coefficients(input_a1.amplitudes.tobytes(), complex(alpha_a2), cutoff)
+    out = np.zeros(cutoff.dim**2, dtype=np.complex128)
+    # One (1 x dim) (dim x dim(dim+1)/2) product over the kept pairs only.
+    # OpenBLAS 0.3.31 (numpy 2.4, 2-core Xeon) hands a complex matrix-vector
+    # product to a second thread once its matrix holds 4096 entries: over all
+    # dim^2 pairs that is n_max >= 15, where the theta sweep's CPU time
+    # doubles and its wall time does not fall; over the kept pairs, n_max >= 19.
+    out[kept] = np.exp(1j * theta * np.arange(cutoff.dim)) @ table
+    return MultiModeState(2, cutoff, out)
 
 
-@lru_cache(maxsize=16)
-def _reference_mix(input_a1: bytes, alpha_a2: complex, cutoff: FockCutoff) -> MultiModeState:
-    """The theta-independent half of :func:`mach_zehnder`, cached per key.
+@lru_cache(maxsize=4)
+def _theta_coefficients(
+    input_a1: bytes, alpha_a2: complex, cutoff: FockCutoff
+) -> tuple[np.ndarray, np.ndarray]:
+    """The theta polynomial of :func:`mach_zehnder`, cached per key.
 
-    Private, so that the public function stays plain for the benchmark's
-    tracer.  An entry holds dim^2 amplitudes, 16 dim^2 bytes: 16 of them at
-    the CLI's largest n_max, 202, take about 10.6 MB.
+    Returns the flat two-mode indices of the kept pairs n_0 + n_1 <= n_max,
+    the only ones a splitter leaves nonzero, and the (dim, dim(dim+1)/2)
+    table whose row n holds C[n] = B Pi_n F on them, both read-only.  F is
+    the first splitter's output.  The second splitter builds every row at
+    once: it mixes modes (1, 2) of the three-mode state L[n, a, b] =
+    delta_na F[a, b], whose mode 0 only labels the upper-path photon number
+    that theta multiplies.  Private, so that the public function stays plain
+    for the benchmark's tracer, which sees both splitters of a cold call.
+
+    L takes 16 dim^3 bytes, the largest array of the Mach-Zehnder, which the
+    CLI budgets.  An entry takes 8 dim^2 (dim + 1) bytes: 41.6 KB at n_max 16
+    and 33.6 MB at the CLI's largest n_max, 160, so the store keeps four.
     """
     upper = MultiModeState(1, cutoff, np.frombuffer(input_a1, dtype=np.complex128))
-    return beam_splitter(tensor(upper, coherent_state(alpha_a2, cutoff)), 0, 1)
+    first = beam_splitter(tensor(upper, coherent_state(alpha_a2, cutoff)), 0, 1)
+    dim = cutoff.dim
+    labelled = np.zeros((dim, dim, dim), dtype=np.complex128)
+    labelled[np.arange(dim), np.arange(dim)] = first.as_tensor()
+    mixed = beam_splitter(MultiModeState(3, cutoff, labelled.reshape(-1)), 1, 2)
+    _, p, q = _splitter_blocks(dim)
+    pairs = dim * (dim + 1) // 2  # the kept pairs lead the folded slots, each once
+    kept = p.reshape(-1)[:pairs] * dim + q.reshape(-1)[:pairs]
+    table = np.take(mixed.amplitudes.reshape(dim, dim * dim), kept, axis=1)
+    for array in (kept, table):
+        array.setflags(write=False)
+    return kept, table
 
 
 @dataclass(frozen=True)

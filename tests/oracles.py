@@ -3,9 +3,10 @@
 These deliberately avoid the package's own block/ladder constructions:
 the atom-field propagator is rebuilt as a dense matrix exponential, the
 heralded gate's action as the closed-form cosine and sine of the gate
-angle, the splitter as an exact symbolic binomial expansion per sector, and the
-sign-flip network as three separate passes over the whole state, so each
-checks the production code through arithmetic it does not share.  The
+angle, the splitter as an exact symbolic binomial expansion per sector, the
+sign-flip network as three separate passes over the whole state, and the
+Mach-Zehnder as its splitter, phase and splitter run in turn at each theta,
+so each checks the production code through arithmetic it does not share.  The
 coherent splitting-law check lives here too: only the tests use it.
 """
 
@@ -69,6 +70,19 @@ def csf_composed_reference(s, ns_mode="ideal", m=3):
     out = out.with_amplitudes(tens.reshape(-1))
     probability = out.norm_squared()
     return beam_splitter(renormalize(out), 0, 2), probability
+
+
+def mach_zehnder_chain(input_a1, alpha, theta):
+    """The Mach-Zehnder's three elements run in turn at one theta.
+
+    ``beam_splitter`` on the input and a fresh |alpha>, the phase
+    e^{i n theta} on mode 0's n photons, then ``beam_splitter`` again.
+    """
+    cutoff = input_a1.cutoff
+    first = beam_splitter(tensor(input_a1, coherent_state(alpha, cutoff)), 0, 1)
+    phases = np.exp(1j * theta * np.arange(cutoff.dim))
+    tens = first.as_tensor() * phases[:, None]
+    return beam_splitter(first.with_amplitudes(tens.reshape(-1)), 0, 1)
 
 
 def multinomial_oracle(n, m, dim):

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from jcsim import cli
 from jcsim.cli import _emit, _jsonify, build_parser, main
 from jcsim.fock import coherent_state, renormalize
-from jcsim.interferometer import _heralded_cavity, _reference_mix, conditional_run
+from jcsim.interferometer import _heralded_cavity, _theta_coefficients, conditional_run
 
 
 def run_cli(argv, capsys):
@@ -271,7 +271,7 @@ def test_mach_zehnder_warm_cavity_gives_the_cold_results(capsys):
         payloads.append(json.dumps(json.loads(out)["results"], sort_keys=True))
     info = _heralded_cavity.cache_info()
     assert (info.misses, info.hits) == (1, 1)  # the first run fills, the second reuses
-    info = _reference_mix.cache_info()
+    info = _theta_coefficients.cache_info()
     assert (info.misses, info.hits) == (1, 1)
     assert payloads[0] == payloads[1]
 
@@ -570,6 +570,38 @@ def test_loop_protocol_needs_schedule_or_canonical_args(capsys):
     assert exc.value.code == 2
 
 
+WINDOW_SCHEDULE = json.dumps(
+    [
+        {"pc_on": True, "duration": 1e-9},
+        {"pc_on": False, "duration": 1e-4},
+        {"pc_on": True, "duration": 1e-9},
+    ]
+)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mach-zehnder", "--alpha", "0.5", "--theta", "1", "--seed", "7"],
+        ["loop-protocol", "--schedule", WINDOW_SCHEDULE, "--kappa", "14285.714", "--m", "3"],
+        ["loop-protocol", "--schedule", WINDOW_SCHEDULE, "--m", "3"],
+    ],
+    ids=[
+        "mach-zehnder-seed-without-shots",
+        "loop-protocol-schedule-and-canonical",
+        "loop-protocol-schedule-and-m",
+    ],
+)
+def test_flag_that_would_not_run_is_usage_error(argv, capsys):
+    # echoed in ``config`` it would read as if it had shaped the results
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert_one_error_line(captured.err)
+
+
 HUGE_M = str(10**400)
 
 
@@ -620,10 +652,14 @@ def test_n_max_below_two_is_usage_error(argv, capsys):
     assert "--n-max" in captured.err
 
 
-@pytest.mark.parametrize("n_max", ["203", "2048"], ids=["mach-zehnder-203", "mach-zehnder-2048"])
+@pytest.mark.parametrize(
+    "n_max",
+    ["161", "203", "2048"],
+    ids=["mach-zehnder-161", "mach-zehnder-203", "mach-zehnder-2048"],
+)
 def test_n_max_beyond_amplitude_budget_is_usage_error(n_max, monkeypatch, capsys):
-    # the splitter kernel's float64 bytes, computed, never allocated
-    assert 8 * (int(n_max) + 1) ** 3 > cli.MAX_ARRAY_BYTES
+    # the labelled three-mode copy's complex bytes, computed, never allocated
+    assert 16 * (int(n_max) + 1) ** 3 > cli.MAX_ARRAY_BYTES
     for handler in ("cavity_ns_output", "mach_zehnder"):
         monkeypatch.setattr(cli, handler, lambda *a, **k: pytest.fail("state was built"))
     argv = ["mach-zehnder", "--alpha", "0.5", "--theta", "1", "--n-max", n_max]
@@ -639,7 +675,7 @@ def test_n_max_beyond_amplitude_budget_is_usage_error(n_max, monkeypatch, capsys
 def test_amplitude_budget_admits_the_benchmark_cutoffs():
     parser = build_parser()
     mz = ["mach-zehnder", "--alpha", "0.5", "--theta", "1", "--n-max"]
-    for n_max in (12, 16, 202):
+    for n_max in (12, 16, 160):
         assert parser.parse_args([*mz, str(n_max)]).n_max == n_max
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import pair_above_cutoff
+from oracles import mach_zehnder_chain, pair_above_cutoff
 from scipy import stats as scipy_stats
 
 from jcsim import interferometer
@@ -20,7 +20,7 @@ from jcsim.fock import (
 )
 from jcsim.interferometer import (
     _heralded_cavity,
-    _reference_mix,
+    _theta_coefficients,
     cat_reference,
     cavity_ns_output,
     conditional_run,
@@ -270,6 +270,48 @@ def test_mach_zehnder_zero_phase_is_transparent():
     assert np.abs(out - np.where(outside, 0.0, predicted)).max() < 1e-14
 
 
+CHAIN_THETAS = [*np.linspace(-7, 7, 57), 1e3, -1e3]
+
+
+@pytest.mark.parametrize("n_max", [2, 3, 12, 16, 17, 40])
+def test_mach_zehnder_matches_the_per_theta_chain(n_max):
+    # odd and even n_max fold the splitter's sectors differently
+    alpha = 0.3 + 0.4j
+    photons = coherent_state(alpha, n_max)
+    # the heralded cavity at every m, on an input renormalized at any cutoff
+    cavity = [
+        ns_gate(renormalize(photons), m, apply_compensating_phase=False).output for m in range(5)
+    ]
+    for state in [*cavity, photons]:
+        for theta in CHAIN_THETAS:
+            out = mach_zehnder(state, alpha, theta).amplitudes
+            assert np.abs(out - mach_zehnder_chain(state, alpha, theta).amplitudes).max() <= 1e-15
+
+
+def _by_sector(probs):
+    """Sum a two-mode probability table over each sector N = n_0 + n_1 <= n_max."""
+    n = np.arange(probs.shape[0])
+    return np.bincount((n[:, None] + n).reshape(-1), probs.reshape(-1))[: probs.shape[0]]
+
+
+@pytest.mark.parametrize("n_max", [40, 160])
+def test_joint_counts_keep_each_kept_sector_mass(n_max):
+    # both splitters and the phase conserve each sector's mass, and the first
+    # splitter cuts everything above n_max: the joint table sums, sector by
+    # sector, to the mass of input x |alpha> it keeps, at any theta
+    rng = np.random.default_rng(n_max)
+    spread = renormalize(MultiModeState(1, FockCutoff(n_max), rng.normal(size=n_max + 1) + 0j))
+    outside = pair_above_cutoff(n_max).reshape(n_max + 1, n_max + 1)
+    for state, alpha in [(cavity_ns_output(0.9, 3, n_max).state, 0.9), (spread, 2.0)]:
+        product = tensor(state, coherent_state(alpha, n_max)).as_tensor()
+        kept = _by_sector(np.abs(product) ** 2)
+        for theta in (0.0, 1.5708, -2.5):
+            joint = detector_statistics(mach_zehnder(state, alpha, theta)).joint
+            assert not joint[outside].any()
+            assert np.abs(_by_sector(joint) - kept).max() < 1e-13
+            assert joint.sum() == pytest.approx(kept.sum(), abs=1e-12)
+
+
 def test_branch_predictions_track_simulated_marginals():
     # simulated marginals vs the two-coherent-branch model of the cavity
     # output; they differ only through the O(alpha^2) model error
@@ -296,7 +338,7 @@ def test_bunching_suppresses_coincidences_at_quarter_turn():
     assert stats.joint[1, 1] < 1e-20
 
 
-# -- reference store ---------------------------------------------------------------
+# -- theta-polynomial store -------------------------------------------------------
 #
 # Every test starts and ends with the store empty (tests/conftest.py).
 
@@ -308,7 +350,7 @@ def test_theta_sweep_mixes_the_reference_once():
     state = cavity_ns_output(0.5, 3, 16).state
     for theta in SWEEP:
         mach_zehnder(state, 0.5, theta)
-    info = _reference_mix.cache_info()
+    info = _theta_coefficients.cache_info()
     assert (info.misses, info.hits, info.currsize) == (1, 1023, 1)
 
 
@@ -331,7 +373,8 @@ def test_warm_call_runs_one_splitter_and_no_reference(monkeypatch):
     assert calls == {"beam_splitter": 2, "coherent_state": 1}
     for theta in SWEEP[1:]:
         mach_zehnder(state, 0.5, theta)
-    assert calls == {"beam_splitter": 1025, "coherent_state": 1}
+    # the cold call's two splitters built the theta polynomial; no warm call runs one
+    assert calls == {"beam_splitter": 2, "coherent_state": 1}
 
 
 @given(st.floats(-1e3, 1e3))
@@ -340,8 +383,8 @@ def test_warm_output_is_bitwise_the_cold_output(theta):
     state = cavity_ns_output(0.5, 3, 12).state
     mach_zehnder(state, 0.5, 0.0)
     warm = mach_zehnder(state, 0.5, theta).amplitudes
-    assert _reference_mix.cache_info().hits >= 1
-    _reference_mix.cache_clear()
+    assert _theta_coefficients.cache_info().hits >= 1
+    _theta_coefficients.cache_clear()
     cold = mach_zehnder(state, 0.5, theta).amplitudes
     assert warm.tobytes() == cold.tobytes()
 
@@ -353,7 +396,7 @@ def test_equal_reference_keys_share_one_entry():
     for upper in (state, twin):
         for alpha in (0.5, 0.5 + 0j, np.float64(0.5)):
             mach_zehnder(upper, alpha, 1.0)
-    info = _reference_mix.cache_info()
+    info = _theta_coefficients.cache_info()
     assert (info.misses, info.hits, info.currsize) == (1, 5, 1)
 
 
@@ -363,7 +406,7 @@ def test_other_input_or_alpha_misses():
     mach_zehnder(cavity_ns_output(0.5, 1, 12).state, 0.5, 1.0)
     mach_zehnder(state, 0.4, 1.0)
     mach_zehnder(state, 0.5j, 1.0)
-    info = _reference_mix.cache_info()
+    info = _theta_coefficients.cache_info()
     assert (info.misses, info.hits, info.currsize) == (4, 0, 4)
 
 
@@ -371,7 +414,7 @@ def test_two_mode_input_raises_and_stores_nothing():
     pair = tensor(coherent_state(0.5, 12), coherent_state(0.5, 12))
     with pytest.raises(DimensionMismatch, match="single-mode"):
         mach_zehnder(pair, 0.5, 1.0)
-    info = _reference_mix.cache_info()
+    info = _theta_coefficients.cache_info()
     assert (info.misses, info.currsize) == (0, 0)
 
 
@@ -382,17 +425,21 @@ def test_overflowing_theta_raises_and_stores_nothing(theta):
     mach_zehnder(state, 0.5, 1.0)
     with pytest.raises(ValueError, match="theta \\* n_max must be finite"):
         mach_zehnder(cavity_ns_output(0.5, 1, 12).state, 0.5, theta)
-    info = _reference_mix.cache_info()
+    info = _theta_coefficients.cache_info()
     assert (info.misses, info.currsize) == (1, 1)
 
 
 def test_stored_reference_mix_is_read_only():
     state = cavity_ns_output(0.5, 3, 12).state
-    mixed = _reference_mix(state.amplitudes.tobytes(), 0.5 + 0j, state.cutoff)
-    assert _reference_mix(state.amplitudes.tobytes(), 0.5 + 0j, state.cutoff) is mixed
-    assert not mixed.amplitudes.flags.writeable
-    with pytest.raises(ValueError, match="read-only"):
-        mixed.amplitudes[0] = 0
+    entry = _theta_coefficients(state.amplitudes.tobytes(), 0.5 + 0j, state.cutoff)
+    assert _theta_coefficients(state.amplitudes.tobytes(), 0.5 + 0j, state.cutoff) is entry
+    kept, table = entry
+    dim = state.cutoff.dim
+    assert table.shape == (dim, dim * (dim + 1) // 2) and kept.shape == (dim * (dim + 1) // 2,)
+    for array in entry:
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
 
 
 # -- detector statistics ----------------------------------------------------------------

@@ -174,7 +174,7 @@ def test_pad_slots_sit_at_the_flat_tail_with_zero_rows_and_columns(n_max):
 
 
 def test_sector_blocks_are_orthogonal_involutions():
-    # every sector up to the CLI's largest admitted n_max, 202
+    # every sector up to n_max 202, past the CLI's largest admitted n_max, 160
     for total, block in enumerate(_sector_blocks(202)):
         identity = np.eye(total + 1)
         assert np.abs(block.T @ block - identity).max() < 1e-12

@@ -18,8 +18,6 @@ import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .errors import SimulatorError
 from .fock import FockCutoff, MultiModeState
@@ -47,9 +45,11 @@ from .loop_circuit import (
 SCHEMA_VERSION = 1
 
 #: Budget, in bytes, that ``--n-max`` is checked against: 64 MiB.  Only
-#: mach-zehnder takes the flag.  The check takes its largest array, the
-#: three-mode labelled copy that builds the theta polynomial, 16 * (n_max + 1)**3
-#: bytes, so n_max goes up to 160.
+#: mach-zehnder takes the flag.  A cold run peaks while the second splitter
+#: builds the theta polynomial, with its three-mode labelled input
+#: (16 * (n_max + 1)**3 bytes), gathered and mixed stacks (about 8 * (n_max + 1)**3
+#: each) and output (16 * (n_max + 1)**3) alive at once.  The check counts
+#: 48 * (n_max + 1)**3 bytes, so n_max goes up to 110.
 MAX_ARRAY_BYTES = 2**26
 
 #: Most rows a table command may emit: ``fig3-sweep --steps`` rows, and
@@ -57,23 +57,19 @@ MAX_ARRAY_BYTES = 2**26
 MAX_ROWS = 2**16
 
 
-def _jsonify(obj):
-    """Recursively reduce results to JSON-serializable deterministic forms."""
-    if isinstance(obj, dict):
-        return {k: _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonify(v) for v in obj.tolist()]
+def _json_default(obj):
+    """``json.dumps`` hook for what JSON lacks: dataclasses, complex, numpy values.
+
+    A dataclass becomes its field dict, a complex number [re, im], and an
+    array or numpy scalar its ``tolist()``; the encoder then walks the result.
+    """
+    if dataclasses.is_dataclass(obj):
+        return dataclasses.asdict(obj)
     if isinstance(obj, complex):
         return [obj.real, obj.imag]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if dataclasses.is_dataclass(obj):
-        return _jsonify(dataclasses.asdict(obj))
-    return obj
+    if hasattr(obj, "tolist"):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _fmt(x: float) -> str:
@@ -84,7 +80,7 @@ def _fmt(x: float) -> str:
 def _emit(args, results) -> None:
     """Write the run's record: CSV of ``results["rows"]``, or the JSON envelope.
 
-    ``results`` is a dict or a library dataclass, reduced by :func:`_jsonify`.
+    ``results`` is a dict or a library dataclass, encoded with :func:`_json_default`.
     The configuration echo is every parsed flag under its argparse name,
     ``None`` when not given, except ``command``, ``format`` and ``out``.
     """
@@ -100,12 +96,14 @@ def _emit(args, results) -> None:
         record = {
             "schema": SCHEMA_VERSION,
             "command": args.command,
-            "config": _jsonify(config),
-            "results": _jsonify(results),
+            "config": config,
+            "results": results,
             "version": __version__,
             "timestamp": datetime.now(timezone.utc).isoformat(),
         }
-        text = json.dumps(record, sort_keys=True, indent=2, allow_nan=False) + "\n"
+        text = json.dumps(
+            record, sort_keys=True, indent=2, allow_nan=False, default=_json_default
+        ) + "\n"
     if args.out:
         Path(args.out).write_text(text)
     else:
@@ -227,7 +225,7 @@ def _cmd_loop_protocol(args) -> ProtocolTrace:
 
 
 def _n_max(text: str) -> int:
-    """``--n-max``: a :class:`FockCutoff` whose largest mach-zehnder array fits the budget.
+    """``--n-max``: a :class:`FockCutoff` whose cold mach-zehnder build fits the budget.
 
     The size is computed while the flags are parsed, before anything is allocated.
     """
@@ -235,11 +233,11 @@ def _n_max(text: str) -> int:
         n_max = FockCutoff(int(text)).n_max
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
-    size = 16 * (n_max + 1) ** 3
+    size = 48 * (n_max + 1) ** 3
     if size > MAX_ARRAY_BYTES:
         raise argparse.ArgumentTypeError(
-            f"n_max {n_max} needs a {size}-byte three-mode array, "
-            f"above the budget of {MAX_ARRAY_BYTES} bytes"
+            f"n_max {n_max} needs about {size} bytes to build the three-mode theta "
+            f"polynomial, above the budget of {MAX_ARRAY_BYTES} bytes"
         )
     return n_max
 

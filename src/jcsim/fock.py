@@ -15,8 +15,7 @@ truncation deficit; callers that need a unit vector apply ``renormalize``
 explicitly.
 
 States are immutable values: every operation returns a new state and the
-underlying numpy buffers are marked read-only.  Coherent states share one
-cached, read-only table of n and sqrt(n!) per dimension.
+underlying numpy buffers are marked read-only.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -200,20 +198,11 @@ def coherent_state(alpha: complex, cutoff: int | FockCutoff) -> MultiModeState:
             "truncation error grows rapidly in this regime",
             stacklevel=2,
         )
-    n, sqrt_factorials = _number_and_sqrt_factorials(cutoff.dim)
-    amps = np.exp(-mean / 2) * alpha**n / sqrt_factorials
+    n = np.arange(cutoff.dim)
+    # sqrt(n!) as exp(0.5 * sum(log k)), so no factorial overflows
+    log_fact = np.cumsum(np.concatenate([[0.0], np.log(np.arange(1, cutoff.dim))]))
+    amps = np.exp(-mean / 2) * alpha**n / np.exp(0.5 * log_fact)
     return MultiModeState(1, cutoff, amps)
-
-
-@lru_cache(maxsize=64)
-def _number_and_sqrt_factorials(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only n = 0..dim-1 and sqrt(n!), the latter as exp(0.5 * sum(log k))."""
-    n = np.arange(dim)
-    log_fact = np.cumsum(np.concatenate([[0.0], np.log(np.arange(1, dim))]))
-    sqrt_factorials = np.exp(0.5 * log_fact)
-    n.setflags(write=False)
-    sqrt_factorials.setflags(write=False)
-    return n, sqrt_factorials
 
 
 # -- operations -----------------------------------------------------------

@@ -92,7 +92,7 @@ def _heralded_cavity(alpha: complex, m: int, cutoff: FockCutoff) -> CavityOutput
     The cache sits on this private helper so that the public function stays
     a plain function, which the benchmark's tracer wraps on every call.  An
     entry holds n_max + 1 amplitudes: 64 of them at the CLI's largest
-    n_max, 160, take about 0.2 MB.
+    n_max, 110, take about 0.1 MB.
     """
     size = math.hypot(alpha.real, alpha.imag)  # abs(alpha) raises beyond the float range
     if size >= 1:
@@ -200,9 +200,12 @@ def _theta_coefficients(
     that theta multiplies.  Private, so that the public function stays plain
     for the benchmark's tracer, which sees both splitters of a cold call.
 
-    L takes 16 dim^3 bytes, the largest array of the Mach-Zehnder, which the
-    CLI budgets.  An entry takes 8 dim^2 (dim + 1) bytes: 41.6 KB at n_max 16
-    and 33.6 MB at the CLI's largest n_max, 160, so the store keeps four.
+    L takes 16 dim^3 bytes, the largest array of the Mach-Zehnder.  With the
+    second splitter's gathered and mixed stacks (about 8 dim^3 bytes each)
+    and its output (16 dim^3), a cold build peaks near 48 dim^3 bytes, which
+    the CLI budgets.  An entry takes 8 dim^2 (dim + 1) bytes: 41.6 KB at
+    n_max 16 and 11.0 MB at the CLI's largest n_max, 110, so the store keeps
+    four.
     """
     upper = MultiModeState(1, cutoff, np.frombuffer(input_a1, dtype=np.complex128))
     first = beam_splitter(tensor(upper, coherent_state(alpha_a2, cutoff)), 0, 1)

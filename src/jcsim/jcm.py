@@ -28,16 +28,14 @@ is scaled by d(m) = cos((2m+1) pi / sqrt(2)); the run fails (atom found in
 weight.  Because U(t_m) is block diagonal, one propagation of
 |g> (x) sum_n |n> holds the whole post-selected diagonal in its ground
 block, and c(m), d(m) in its one-excitation block; every quantity of the
-gate is read from that propagation, which is cached per (m, cutoff) and
-shared read-only by every caller.  For negative d(m) (e.g. the m=3 route)
-a lossless (-1)^n phase shifter restores the |1> sign.
+gate is read from that one propagation.  For negative d(m) (e.g. the m=3
+route) a lossless (-1)^n phase shifter restores the |1> sign.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -105,13 +103,11 @@ def ns_gate_times(kappa_abs: float, m: int) -> float:
     return half_turns * math.pi / (math.sqrt(2) * kappa_abs)
 
 
-@lru_cache(maxsize=64)
 def _heralded_propagation(m: int, cutoff: FockCutoff) -> AtomFieldState:
-    """U(t_m) (|g> (x) sum_n |n>), cached per (m, cutoff).
+    """U(t_m) (|g> (x) sum_n |n>), one propagation at pulse area t_m.
 
     The ground block is the post-selected diagonal; the |1> sector gives
-    c(m) in ``e_block[0]`` and d(m) in ``g_block[1]``.  The amplitudes are
-    read-only, so every caller shares the one cached state.
+    c(m) in ``e_block[0]`` and d(m) in ``g_block[1]``.
     """
     start = AtomFieldState(cutoff, np.concatenate([np.ones(cutoff.dim), np.zeros(cutoff.dim)]))
     return jcm_propagate(start, ns_gate_times(1.0, m))

@@ -92,7 +92,7 @@ def _splitter_blocks(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     The blocks take about 4 dim^3 bytes.  No caller uses more than three
     dimensions, and the cache keeps four: at the CLI's largest admitted
-    n_max, 160, that is at most 4 x 17 MB, about 68 MB.
+    n_max, 110, that is at most 4 x 5.6 MB, about 22 MB.
     """
     n_max = dim - 1
     row_count = (dim + 1) // 2

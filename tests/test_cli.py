@@ -3,6 +3,7 @@ import contextlib
 import io
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -11,9 +12,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jcsim import cli
-from jcsim.cli import _emit, _jsonify, build_parser, main
+from jcsim.cli import _emit, _json_default, build_parser, main
 from jcsim.fock import coherent_state, renormalize
-from jcsim.interferometer import _heralded_cavity, _theta_coefficients, conditional_run
+from jcsim.interferometer import (
+    _heralded_cavity,
+    _theta_coefficients,
+    cavity_ns_output,
+    conditional_run,
+    mach_zehnder,
+)
+from jcsim.linear_optics import _splitter_blocks
 
 
 def run_cli(argv, capsys):
@@ -106,7 +114,7 @@ def test_config_echoes_every_parsed_flag(argv, tmp_path, capsys):
     assert code == 0
     config = json.loads(out)["config"]
     flags = {k: v for k, v in parsed.items() if k not in ("command", "format", "out")}
-    assert config == json.loads(json.dumps(_jsonify(flags)))
+    assert config == json.loads(json.dumps(flags, default=_json_default))
     given = {a[2:].replace("-", "_") for a in argv if a.startswith("--")}
     assert given - {"format"} <= config.keys()
 
@@ -285,7 +293,8 @@ def test_mach_zehnder_monte_carlo_matches_conditional_run(capsys):
     assert code == 0
     mc = json.loads(out)["results"]["monte_carlo"]
     report = conditional_run(5000, 42, 0.5, 3, 1.5708)
-    assert mc == {key: _jsonify(getattr(report, key)) for key in mc}
+    expected = {key: getattr(report, key) for key in mc}
+    assert mc == json.loads(json.dumps(expected, default=_json_default))
 
 
 def assert_one_error_line(err):
@@ -654,12 +663,12 @@ def test_n_max_below_two_is_usage_error(argv, capsys):
 
 @pytest.mark.parametrize(
     "n_max",
-    ["161", "203", "2048"],
-    ids=["mach-zehnder-161", "mach-zehnder-203", "mach-zehnder-2048"],
+    ["111", "161", "203", "2048"],
+    ids=["mach-zehnder-111", "mach-zehnder-161", "mach-zehnder-203", "mach-zehnder-2048"],
 )
 def test_n_max_beyond_amplitude_budget_is_usage_error(n_max, monkeypatch, capsys):
-    # the labelled three-mode copy's complex bytes, computed, never allocated
-    assert 16 * (int(n_max) + 1) ** 3 > cli.MAX_ARRAY_BYTES
+    # the cold theta-polynomial build's bytes, computed, never allocated
+    assert 48 * (int(n_max) + 1) ** 3 > cli.MAX_ARRAY_BYTES
     for handler in ("cavity_ns_output", "mach_zehnder"):
         monkeypatch.setattr(cli, handler, lambda *a, **k: pytest.fail("state was built"))
     argv = ["mach-zehnder", "--alpha", "0.5", "--theta", "1", "--n-max", n_max]
@@ -675,8 +684,32 @@ def test_n_max_beyond_amplitude_budget_is_usage_error(n_max, monkeypatch, capsys
 def test_amplitude_budget_admits_the_benchmark_cutoffs():
     parser = build_parser()
     mz = ["mach-zehnder", "--alpha", "0.5", "--theta", "1", "--n-max"]
-    for n_max in (12, 16, 160):
+    for n_max in (12, 16, 110):
         assert parser.parse_args([*mz, str(n_max)]).n_max == n_max
+
+
+def test_cold_mach_zehnder_at_the_largest_admitted_n_max_fits_the_budget():
+    # the budget counts everything alive at once in a cold build, not only
+    # its largest array: the splitter blocks, the theta polynomial and the
+    # second splitter's labelled input, stacks and output
+    n_max = 12
+    while True:
+        try:
+            cli._n_max(str(n_max + 1))
+        except argparse.ArgumentTypeError:
+            break
+        n_max += 1
+    mz = ["mach-zehnder", "--alpha", "0.5", "--theta", "1.5708", "--n-max", str(n_max)]
+    assert build_parser().parse_args(mz).n_max == n_max
+    state = cavity_ns_output(0.5, 3, n_max).state
+    _splitter_blocks.cache_clear()
+    tracemalloc.start()
+    try:
+        mach_zehnder(state, 0.5, 1.5708)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= cli.MAX_ARRAY_BYTES
 
 
 def test_handler_bug_is_not_reported_as_user_error(monkeypatch):

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jcsim import fock
 from jcsim.errors import CutoffMismatch, OccupationExceedsCutoff, ZeroStateError
 from jcsim.fock import (
     FockCutoff,
@@ -82,20 +81,14 @@ def test_coherent_truncation_deficit_negligible_at_half():
 @pytest.mark.parametrize("alpha", [0.0, 0.5, -0.3 + 0.8j, 1.9j])
 @pytest.mark.parametrize("n_max", [2, 12, 30])
 def test_coherent_amplitudes_match_uncached_expression_bitwise(alpha, n_max, recwarn):
-    # The per-dimension table is cached and the arithmetic is the same
-    # expression; recwarn takes the truncation warning of the larger alphas.
+    # The same arithmetic, term for term, so the amplitudes agree bitwise;
+    # recwarn takes the truncation warning of the larger alphas.
     alpha = complex(alpha)
     n = np.arange(n_max + 1)
     log_fact = np.cumsum(np.concatenate([[0.0], np.log(np.arange(1, n_max + 1))]))
     expected = np.exp(-abs(alpha) ** 2 / 2) * alpha**n / np.exp(0.5 * log_fact)
     for _ in range(2):
         assert coherent_state(alpha, n_max).amplitudes.tobytes() == expected.tobytes()
-
-
-def test_coherent_tables_are_read_only():
-    for table in fock._number_and_sqrt_factorials(13):
-        with pytest.raises(ValueError):
-            table[0] = 7
 
 
 def test_coherent_truncation_warning():

@@ -174,7 +174,7 @@ def test_pad_slots_sit_at_the_flat_tail_with_zero_rows_and_columns(n_max):
 
 
 def test_sector_blocks_are_orthogonal_involutions():
-    # every sector up to n_max 202, past the CLI's largest admitted n_max, 160
+    # every sector up to n_max 202, past the CLI's largest admitted n_max, 110
     for total, block in enumerate(_sector_blocks(202)):
         identity = np.eye(total + 1)
         assert np.abs(block.T @ block - identity).max() < 1e-12
@@ -432,4 +432,6 @@ def test_truth_table_is_exact_at_its_fixed_cutoff(ns_mode, m, n_max):
             }
         )
     table = csf_truth_table(ns_mode, m)
-    assert json.dumps(cli._jsonify(table)) == json.dumps(cli._jsonify(rows))
+    assert json.dumps(table, default=cli._json_default) == json.dumps(
+        rows, default=cli._json_default
+    )

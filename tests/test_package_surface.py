@@ -70,6 +70,34 @@ def test_every_public_function_is_a_plain_function():
     assert wrapped == []
 
 
+#: The per-process stores, each where a workload repeats its key: the splitter
+#: blocks per dimension, the heralded cavity per (alpha, m, n_max) and the
+#: Mach-Zehnder's theta polynomial per (input, alpha, n_max).
+STORES = {
+    "linear_optics._splitter_blocks",
+    "interferometer._heralded_cavity",
+    "interferometer._theta_coefficients",
+}
+
+
+def _decorator_name(node: ast.expr) -> str:
+    target = node.func if isinstance(node, ast.Call) else node
+    return target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", "")
+
+
+def test_the_package_keeps_exactly_the_listed_stores():
+    # every memoized function in the package, nested ones included; the
+    # README's list of caches names these and no others
+    memoized = set()
+    for path in PACKAGE:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                _decorator_name(d) in ("lru_cache", "cache") for d in node.decorator_list
+            ):
+                memoized.add(f"{path.stem}.{node.name}")
+    assert memoized == STORES
+
+
 LAYERS = {"fock", "interferometer", "jcm", "linear_optics", "loop_circuit"}
 
 

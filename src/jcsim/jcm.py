@@ -35,6 +35,7 @@ route) a lossless (-1)^n phase shifter restores the |1> sign.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -92,6 +93,10 @@ def jcm_propagate(s: AtomFieldState, kappa_t: float) -> AtomFieldState:
 
 def ns_gate_times(kappa_abs: float, m: int) -> float:
     """Interaction time (2m+1) pi / (sqrt(2) kappa_abs) for the sign flip."""
+    try:
+        m = operator.index(m)  # refuses 2.5, 3.0, nan and "3"; takes np.int64
+    except TypeError:
+        raise ValueError(f"m must be a non-negative integer, got {m!r}") from None
     if m < 0:
         raise ValueError(f"m must be a non-negative integer, got {m}")
     if not 0 < kappa_abs < math.inf:

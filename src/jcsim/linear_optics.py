@@ -66,12 +66,16 @@ def _sector_blocks(max_total: int) -> Iterator[np.ndarray]:
     so the error grows only linearly in N, unlike building columns from the
     vacuum with creation operators alone.
     """
+    # Block N - 1 sits at [1:N+1, 1:N+1] of one zeroed buffer.  Blocks grow,
+    # so row and column N + 1 are still zero when block N reads them.
+    framed = np.zeros((max_total + 2, max_total + 2))
     block = np.ones((1, 1))
     yield block
     for total in range(1, max_total + 1):
         p = np.arange(total + 1)
         on_i, on_j = np.sqrt(p), np.sqrt(total - p)
-        prev = np.pad(block, 1)  # prev[p' + 1, p + 1] = previous block[p', p]
+        framed[1 : total + 1, 1 : total + 1] = block
+        prev = framed[: total + 2, : total + 2]  # prev[p' + 1, p + 1] = previous block[p', p]
         block = (
             on_i * (on_i[:, None] * prev[:-1, :-1] + on_j[:, None] * prev[1:, :-1])
             + on_j * (on_i[:, None] * prev[:-1, 1:] - on_j[:, None] * prev[1:, 1:])
@@ -172,16 +176,42 @@ def logical_basis_state(j: int, k: int, cutoff: int | FockCutoff) -> MultiModeSt
     return number_state(_RAILS[j] + _RAILS[k], cutoff)
 
 
+def _sign_shift_diagonal(ns_mode: str, m: int, cutoff: FockCutoff) -> np.ndarray:
+    """The sign-shift gate's post-selected action s[n] on photon number n = 0..n_max.
+
+    ``"ideal"`` is (1, 1, -1, 1, ...).  ``"jcm"`` is the heralded cavity's
+    diagonal <g,n| U(t_m) |g,n>, times the (-1)^n compensator when
+    d(m) = s[1] < 0; it is real, as the propagator runs at coupling phase 0.
+    The network folds s into its real blocks, so a diagonal with a nonzero
+    imaginary part is refused, not truncated.  Any other ``ns_mode`` is
+    refused too.
+    """
+    if ns_mode == "ideal":
+        diag = np.ones(cutoff.dim)
+        diag[2] = -1.0
+        return diag
+    if ns_mode != "jcm":
+        raise ValueError(f"ns_mode must be 'ideal' or 'jcm', got {ns_mode!r}")
+    heralded = jcm.ns_post_selected_diagonal(m, cutoff)
+    if np.any(heralded.imag):
+        raise ValueError("the sign-shift diagonal is complex; the network folds only a real one")
+    diag = heralded.real
+    if diag[1] < 0:  # d(m) < 0
+        diag = diag * (-1.0) ** np.arange(cutoff.dim)
+    return diag
+
+
 def csf_gate(
     s: MultiModeState, ns_mode: str = "ideal", m: int = 3
 ) -> tuple[MultiModeState, float]:
     """Conditional sign flip on two dual-rail qubits (modes x1,x2,y1,y2).
 
     Splitter on (x1, y1), a sign-shift gate on each of x1 and y1, then the
-    same splitter again (it is its own inverse).  ``ns_mode`` selects the
-    exact gate (``"ideal"``) or the atom-heralded realization (``"jcm"``) at
-    index ``m`` >= 0; in the latter case both atoms must be found in |g> and
-    the returned probability is the compound herald probability.  Input mass
+    same splitter again (it is its own inverse).  ``ns_mode`` selects, through
+    :func:`_sign_shift_diagonal`, the exact gate (``"ideal"``) or the
+    atom-heralded realization (``"jcm"``) at integer index ``m`` >= 0; in
+    the latter case both atoms must be found in |g> and the returned
+    probability is the compound herald probability.  Input mass
     with n_x1 + n_y1 > n_max lies outside the model: the first splitter cuts
     it, so the probability is at most 1 minus that mass, and equal to it for
     the ideal gate.  The heralded gate includes the compensating (-1)^n phase
@@ -201,20 +231,8 @@ def csf_gate(
         raise DimensionMismatch("the network acts on four modes (x1, x2, y1, y2)")
     if not s.is_normalized:
         raise ValueError("input state must be normalized")
-    dim = s.cutoff.dim
-
-    if ns_mode == "ideal":
-        diag = np.ones(dim)
-        diag[2] = -1.0
-    elif ns_mode == "jcm":
-        # real at coupling phase 0, so it scales the real stack directly
-        diag = jcm.ns_post_selected_diagonal(m, s.cutoff).real
-        if diag[1] < 0:  # d(m) < 0
-            diag = diag * (-1.0) ** np.arange(dim)
-    else:
-        raise ValueError(f"ns_mode must be 'ideal' or 'jcm', got {ns_mode!r}")
-
-    blocks, p, q = _splitter_blocks(dim)
+    diag = _sign_shift_diagonal(ns_mode, m, s.cutoff)
+    blocks, p, q = _splitter_blocks(s.cutoff.dim)
     rows = _gather(s, _CSF_AXES, p, q)
     mixed = (blocks * (diag[p] * diag[q])[:, :, None]) @ rows
     success_probability = float(np.vdot(mixed, mixed))

@@ -4,10 +4,12 @@ These deliberately avoid the package's own block/ladder constructions:
 the atom-field propagator is rebuilt as a dense matrix exponential, the
 heralded gate's action as the closed-form cosine and sine of the gate
 angle, the splitter as an exact symbolic binomial expansion per sector, the
-sign-flip network as three separate passes over the whole state, and the
-Mach-Zehnder as its splitter, phase and splitter run in turn at each theta,
-so each checks the production code through arithmetic it does not share.  The
-coherent splitting-law check lives here too: only the tests use it.
+sign-flip network as three separate passes over the whole state (on the
+package's sign-shift diagonal, which the tests hold to the closed form on
+its own), and the Mach-Zehnder as its splitter, phase and splitter run in
+turn at each theta, so each checks the production code through arithmetic
+it does not share.  The coherent splitting-law check lives here too: only
+the tests use it.
 """
 
 import math
@@ -17,7 +19,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from jcsim.fock import as_cutoff, coherent_state, renormalize, tensor
-from jcsim.linear_optics import beam_splitter
+from jcsim.linear_optics import _sign_shift_diagonal, beam_splitter
 
 
 def dense_propagator(n_max, kappa_abs, kappa_phase, t):
@@ -51,20 +53,13 @@ def cm_dm_closed_form(m):
 def csf_composed_reference(s, ns_mode="ideal", m=3):
     """The sign-flip network as separate passes over the whole 4-mode state.
 
-    ``beam_splitter`` on (x1, y1), the closed-form sign-shift diagonal on
-    each of x1 and y1 of the tensor (with the (-1)^n compensator when
-    d(m) < 0), ``renormalize``, then ``beam_splitter`` again.  Returns the
-    output state and the herald probability, the squared norm before
-    renormalizing.
+    ``beam_splitter`` on (x1, y1), the package's sign-shift diagonal on
+    each of x1 and y1 of the tensor, ``renormalize``, then ``beam_splitter``
+    again.  Returns the output state and the herald probability, the squared
+    norm before renormalizing.  The diagonal itself is checked against
+    :func:`ns_diagonal_closed_form` on its own.
     """
-    dim = s.cutoff.dim
-    if ns_mode == "ideal":
-        diag = np.ones(dim)
-        diag[2] = -1.0
-    else:
-        diag = ns_diagonal_closed_form(m, s.cutoff.n_max)
-        if diag[1] < 0:
-            diag = diag * (-1.0) ** np.arange(dim)
+    diag = _sign_shift_diagonal(ns_mode, m, s.cutoff)
     out = beam_splitter(s, 0, 2)
     tens = out.as_tensor() * diag[:, None, None, None] * diag[None, None, :, None]
     out = out.with_amplitudes(tens.reshape(-1))

@@ -167,6 +167,16 @@ def test_gate_time_rejects_negative_m():
         ns_gate_times(1.0, -1)
 
 
+@pytest.mark.parametrize("m", [2.5, 3.0, math.nan, "3"])
+def test_gate_time_rejects_non_integral_m(m):
+    with pytest.raises(ValueError, match="m must be a non-negative integer"):
+        ns_gate_times(1.0, m)
+
+
+def test_gate_time_takes_a_numpy_integer_m():
+    assert ns_gate_times(1.0, np.int64(3)).hex() == ns_gate_times(1.0, 3).hex()
+
+
 @pytest.mark.parametrize("kappa", [0.0, -1.0, math.nan, math.inf])
 def test_gate_time_rejects_kappa_outside_domain(kappa):
     with pytest.raises(ValueError, match="kappa must be positive and finite"):

@@ -6,9 +6,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import coherent_bs_law_check, csf_composed_reference, multinomial_oracle
+from oracles import (
+    cm_dm_closed_form,
+    coherent_bs_law_check,
+    csf_composed_reference,
+    multinomial_oracle,
+    ns_diagonal_closed_form,
+)
 
-from jcsim import cli
+from jcsim import cli, jcm
 from jcsim.errors import ModeIndexOutOfRange, ZeroStateError
 from jcsim.fock import (
     FockCutoff,
@@ -21,6 +27,7 @@ from jcsim.fock import (
 from jcsim.jcm import cm_dm
 from jcsim.linear_optics import (
     _sector_blocks,
+    _sign_shift_diagonal,
     _splitter_blocks,
     beam_splitter,
     csf_gate,
@@ -400,6 +407,43 @@ def test_csf_with_nothing_inside_the_cutoff_raises(ns_mode):
 def test_csf_rejects_unknown_mode():
     with pytest.raises(ValueError):
         csf_gate(logical_basis_state(0, 0, 6), ns_mode="magic")
+
+
+@pytest.mark.parametrize("n_max", range(2, 21))
+def test_sign_shift_diagonal_matches_the_closed_form(n_max):
+    # the composed reference reads the resolver, so the diagonal is held to
+    # cos(sqrt(n) (2m+1) pi / sqrt(2)) here, with the compensator when d(m) < 0
+    ideal = np.ones(n_max + 1)
+    ideal[2] = -1.0
+    assert _sign_shift_diagonal("ideal", 3, FockCutoff(n_max)).tobytes() == ideal.tobytes()
+    for m in range(5):
+        expected = ns_diagonal_closed_form(m, n_max)
+        if cm_dm_closed_form(m)[1] < 0:
+            expected = expected * (-1.0) ** np.arange(n_max + 1)
+        diag = _sign_shift_diagonal("jcm", m, FockCutoff(n_max))
+        assert diag.dtype == np.float64
+        assert np.abs(diag - expected).max() < 1e-12
+
+
+def test_csf_refuses_a_complex_sign_shift_diagonal(monkeypatch):
+    # the network folds a real diagonal into real blocks; an imaginary part
+    # must stop the gate rather than be dropped
+    heralded = jcm.ns_post_selected_diagonal
+
+    def complex_diagonal(m, cutoff):
+        diag = heralded(m, cutoff).copy()
+        diag[3] += 1e-3j
+        return diag
+
+    monkeypatch.setattr(jcm, "ns_post_selected_diagonal", complex_diagonal)
+    with pytest.raises(ValueError, match="complex"):
+        csf_gate(logical_basis_state(1, 1, 4), ns_mode="jcm", m=3)
+
+
+def test_csf_refuses_a_non_integral_m():
+    # a fractional pulse index is not a sign-shift gate
+    with pytest.raises(ValueError, match="m must be a non-negative integer"):
+        csf_gate(logical_basis_state(1, 1, 4), ns_mode="jcm", m=2.5)
 
 
 def test_truth_table_report():

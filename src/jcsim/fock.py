@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import json
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -187,17 +186,12 @@ def coherent_state(alpha: complex, cutoff: int | FockCutoff) -> MultiModeState:
     """Single-mode coherent state, truncated at n_max and not renormalized.
 
     Amplitudes are exp(-|alpha|^2/2) alpha^n / sqrt(n!) for n <= n_max, so
-    ``norm_squared`` reports 1 minus the truncated Poisson tail.
+    ``norm_squared`` reports 1 minus the truncated Poisson tail; a caller
+    that needs the mass whole checks it there, as ``cavity_ns_output`` does.
     """
     cutoff = as_cutoff(cutoff)
     alpha = complex(alpha)
     mean = abs(alpha) ** 2
-    if mean > cutoff.n_max / 4:
-        warnings.warn(
-            f"|alpha|^2 = {mean:.3g} exceeds n_max/4 = {cutoff.n_max / 4:.3g}; "
-            "truncation error grows rapidly in this regime",
-            stacklevel=2,
-        )
     n = np.arange(cutoff.dim)
     # sqrt(n!) as exp(0.5 * sum(log k)), so no factorial overflows
     log_fact = np.cumsum(np.concatenate([[0.0], np.log(np.arange(1, cutoff.dim))]))

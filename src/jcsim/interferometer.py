@@ -32,8 +32,7 @@ the upper path.  The coefficients are built once per (input state, alpha,
 n_max), by the first splitter and then the second on a copy of its output
 that carries n as a third mode's label, and shared read-only.  A call, cold
 or warm, contracts them with the phases, so a warm call runs no splitter and
-builds no reference: ``coherent_state``'s ``|alpha|^2 > n_max/4`` warning
-fires on a cold call only.
+builds no reference.
 
 Exact joint counting statistics are computed from the simulated two-mode
 state.  The Monte Carlo detection record is one multinomial draw of the
@@ -164,10 +163,8 @@ def mach_zehnder(
     photon number n = 0..n_max, do not depend on theta: they are built once
     per (input, alpha_a2, n_max) and shared, and each call sums them with the
     phases e^{i n theta}.  So a warm call runs no splitter and builds no
-    reference, and ``coherent_state``'s ``|alpha|^2 > n_max/4`` warning fires
-    on a cold call only.  Keys compare by value: an equal input that is a
-    different object, or ``0.5``, ``0.5+0j`` and ``np.float64(0.5)``, hit one
-    entry.
+    reference.  Keys compare by value: an equal input that is a different
+    object, or ``0.5``, ``0.5+0j`` and ``np.float64(0.5)``, hit one entry.
     """
     if input_a1.mode_count != 1:
         raise DimensionMismatch("upper-path input must be a single-mode state")

@@ -91,21 +91,23 @@ def jcm_propagate(s: AtomFieldState, kappa_t: float) -> AtomFieldState:
     return AtomFieldState(s.cutoff, out)
 
 
+#: Largest admitted m.  A large m loses the pulse area (2m+1) pi / sqrt(2)
+#: to rounding: the two-photon entry is exactly -1 for every m < 7552414 but
+#: reads -0.81 at m = 1e15, and 2**22 stays below the first miss.
+MAX_M = 2**22
+
+
 def ns_gate_times(kappa_abs: float, m: int) -> float:
     """Interaction time (2m+1) pi / (sqrt(2) kappa_abs) for the sign flip."""
     try:
         m = operator.index(m)  # refuses 2.5, 3.0, nan and "3"; takes np.int64
     except TypeError:
         raise ValueError(f"m must be a non-negative integer, got {m!r}") from None
-    if m < 0:
-        raise ValueError(f"m must be a non-negative integer, got {m}")
+    if not 0 <= m <= MAX_M:  # m itself is not formatted: str() refuses > 4300 digits
+        raise ValueError(f"m must be an integer in [0, {MAX_M}]")
     if not 0 < kappa_abs < math.inf:
         raise ValueError(f"kappa must be positive and finite, got {kappa_abs}")
-    try:
-        half_turns = float(2 * m + 1)
-    except OverflowError:  # an integer m beyond the float range
-        raise ValueError("m must be within the float range") from None
-    return half_turns * math.pi / (math.sqrt(2) * kappa_abs)
+    return (2 * m + 1) * math.pi / (math.sqrt(2) * kappa_abs)
 
 
 def _heralded_propagation(m: int, cutoff: FockCutoff) -> AtomFieldState:
@@ -157,7 +159,7 @@ def ns_gate(
         raise DimensionMismatch("the gate acts on a single-mode state")
     if not input_state.is_normalized:
         raise ValueError("input state must be normalized")
-    surviving = input_state.amplitudes * _heralded_propagation(m, input_state.cutoff).g_block
+    surviving = input_state.amplitudes * ns_post_selected_diagonal(m, input_state.cutoff)
     success_probability = float(np.vdot(surviving, surviving).real)
     if success_probability == 0.0:
         raise ZeroStateError("atom is never found in |g>; nothing to post-select")

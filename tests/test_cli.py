@@ -3,8 +3,12 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +26,8 @@ from jcsim.interferometer import (
     mach_zehnder,
 )
 from jcsim.linear_optics import _splitter_blocks
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_cli(argv, capsys):
@@ -631,7 +637,29 @@ def test_m_beyond_float_range_is_runtime_error(argv, tmp_path, capsys):
     assert code == 1
     assert out == ""
     assert_one_error_line(err)
-    assert "m must be within the float range" in err
+    assert "m must be an integer in [0, 4194304]" in err
+
+
+def test_m_whose_pulse_area_rounds_away_is_runtime_error(capsys):
+    # at m = 1e20 the heralded gate would show no sign flip at all
+    code, out, err = run_cli(["csf-verify", "--jcm-m", str(10**20)], capsys)
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert_one_error_line(err)
+
+
+def test_truncated_coherent_input_prints_one_error_line():
+    # a fresh process, so stderr holds everything the run prints
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    argv = ["mach-zehnder", "--alpha", "0.9", "--theta", "1", "--n-max", "3"]
+    run = subprocess.run(
+        [sys.executable, "-m", "jcsim.cli", *argv], env=env, capture_output=True, text=True
+    )
+    assert run.returncode == 1
+    assert run.stdout == ""
+    assert len(run.stderr.splitlines()) == 1
+    assert run.stderr.startswith("error: a coherent input of |alpha| = 0.9 loses")
 
 
 @pytest.mark.parametrize(
@@ -787,18 +815,21 @@ def test_numeric_flags_exit_cleanly_with_strict_json(argv):
 
 
 def assert_exits_cleanly_with_strict_json(argv):
-    """``main(argv)`` exits 0, 1 or 2 without a traceback; any stdout is strict JSON."""
+    """``main(argv)`` exits 0, 1 or 2 without a traceback; any stdout is strict JSON.
+
+    A runtime error (exit 1) prints exactly one stderr line, its ``error: `` message.
+    """
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        with warnings.catch_warnings():
-            # the coherent-state truncation warning is a stderr line, not a failure
-            warnings.filterwarnings("ignore", r"\|alpha\|\^2 = ", UserWarning)
-            try:
-                code = main(argv)
-            except SystemExit as exc:
-                code = exc.code
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
+    if code == 1:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
     if out.getvalue():
         json.loads(out.getvalue(), parse_constant=_no_constants)
 

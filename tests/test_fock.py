@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats as scipy_stats
 
 from jcsim.errors import CutoffMismatch, OccupationExceedsCutoff, ZeroStateError
 from jcsim.fock import (
@@ -80,9 +81,8 @@ def test_coherent_truncation_deficit_negligible_at_half():
 
 @pytest.mark.parametrize("alpha", [0.0, 0.5, -0.3 + 0.8j, 1.9j])
 @pytest.mark.parametrize("n_max", [2, 12, 30])
-def test_coherent_amplitudes_match_uncached_expression_bitwise(alpha, n_max, recwarn):
-    # The same arithmetic, term for term, so the amplitudes agree bitwise;
-    # recwarn takes the truncation warning of the larger alphas.
+def test_coherent_amplitudes_match_uncached_expression_bitwise(alpha, n_max):
+    # The same arithmetic, term for term, so the amplitudes agree bitwise.
     alpha = complex(alpha)
     n = np.arange(n_max + 1)
     log_fact = np.cumsum(np.concatenate([[0.0], np.log(np.arange(1, n_max + 1))]))
@@ -91,17 +91,16 @@ def test_coherent_amplitudes_match_uncached_expression_bitwise(alpha, n_max, rec
         assert coherent_state(alpha, n_max).amplitudes.tobytes() == expected.tobytes()
 
 
-def test_coherent_truncation_warning():
-    with pytest.warns(UserWarning, match="truncation"):
-        coherent_state(2.0, 8)
+@pytest.mark.parametrize("alpha, n_max", [(2.0, 8), (0.9, 3)])
+def test_coherent_truncation_deficit_is_the_poisson_tail(alpha, n_max):
+    # the cut is reported by the norm, not by a warning
+    assert 1 - coherent_state(alpha, n_max).norm_squared() == pytest.approx(
+        scipy_stats.poisson.sf(n_max, abs(alpha) ** 2), abs=1e-12
+    )
 
 
 def test_truncation_monotonicity():
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # small n_max triggers the truncation warning
-        norms = [coherent_state(1.0, n).norm_squared() for n in range(2, 16)]
+    norms = [coherent_state(1.0, n).norm_squared() for n in range(2, 16)]
     assert all(b >= a for a, b in zip(norms, norms[1:]))
     assert norms[-1] == pytest.approx(1.0, abs=1e-10)
 

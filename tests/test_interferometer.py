@@ -377,6 +377,16 @@ def test_warm_call_runs_one_splitter_and_no_reference(monkeypatch):
     assert calls == {"beam_splitter": 2, "coherent_state": 1}
 
 
+def test_a_deep_reference_prints_nothing_cold_or_warm():
+    # |1.9|^2 > n_max / 4: the reference loses 1.0e-4 of its mass at n_max 12;
+    # pytest turns any warning into an error, so both calls must stay silent
+    state = coherent_state(0.3, 12)
+    mach_zehnder(state, 1.9, 1.0)
+    mach_zehnder(state, 1.9, 1.0)
+    info = _theta_coefficients.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
 @given(st.floats(-1e3, 1e3))
 @settings(max_examples=20)
 def test_warm_output_is_bitwise_the_cold_output(theta):

@@ -167,6 +167,14 @@ def test_gate_time_rejects_negative_m():
         ns_gate_times(1.0, -1)
 
 
+def test_gate_time_admits_m_up_to_its_bound():
+    # the bound sits below the first m whose two-photon entry is not exactly -1
+    assert jcm.MAX_M == 2**22
+    assert ns_post_selected_diagonal(2**22, 4)[2] == -1.0
+    with pytest.raises(ValueError, match=r"m must be an integer in \[0, 4194304\]"):
+        ns_gate_times(1.0, 2**22 + 1)
+
+
 @pytest.mark.parametrize("m", [2.5, 3.0, math.nan, "3"])
 def test_gate_time_rejects_non_integral_m(m):
     with pytest.raises(ValueError, match="m must be a non-negative integer"):

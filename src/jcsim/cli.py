@@ -5,6 +5,13 @@ results payload, the library version, and a timestamp.  Identical
 configurations (seed included) reproduce identical results payloads
 byte for byte; the timestamp lives only in the record envelope.  CSV
 output uses 6 significant digits and no locale-dependent formatting.
+
+Exit codes: 2 for a usage error, which argparse reports before any work
+starts (a missing flag, or a value outside a flag's domain such as
+``--n-max 1``); 1 for a ``ValueError`` (input outside a function's domain,
+a malformed state or schedule file) or an ``OSError`` from a handler,
+printed as one ``error:`` line.  Any other exception is a bug and keeps
+its traceback.
 """
 
 from __future__ import annotations
@@ -19,7 +26,6 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .errors import SimulatorError
 from .fock import FockCutoff, MultiModeState
 from .interferometer import (
     cavity_ns_output,
@@ -344,7 +350,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         _emit(args, _HANDLERS[args.command](args))
-    except (SimulatorError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
     return 0

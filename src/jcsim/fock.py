@@ -22,17 +22,11 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-
-from .errors import (
-    CutoffMismatch,
-    DimensionMismatch,
-    OccupationExceedsCutoff,
-    ZeroStateError,
-)
 
 #: Tolerance on |norm^2 - 1| below which a state counts as normalized.
 NORMALIZATION_TOL = 1e-9
@@ -45,6 +39,10 @@ class FockCutoff:
     n_max: int
 
     def __post_init__(self) -> None:
+        try:
+            object.__setattr__(self, "n_max", operator.index(self.n_max))
+        except TypeError:
+            raise ValueError(f"n_max must be an integer, got {self.n_max!r}") from None
         if self.n_max < 2:
             raise ValueError(
                 f"n_max must be >= 2 (two-photon states are essential), got {self.n_max}"
@@ -60,7 +58,7 @@ def as_cutoff(cutoff: int | FockCutoff) -> FockCutoff:
     """Coerce a bare integer into a :class:`FockCutoff`."""
     if isinstance(cutoff, FockCutoff):
         return cutoff
-    return FockCutoff(int(cutoff))
+    return FockCutoff(cutoff)
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,12 +75,12 @@ class MultiModeState:
         amps = np.ascontiguousarray(self.amplitudes, dtype=np.complex128)
         # dim >= 3, so past this bound dim**mode_count > 2**mode_count > amps.size
         if self.mode_count > amps.size.bit_length():
-            raise DimensionMismatch(
+            raise ValueError(
                 f"mode_count {self.mode_count} needs more than the {amps.size} amplitude(s) given"
             )
         expected = self.cutoff.dim**self.mode_count
         if amps.shape != (expected,):
-            raise DimensionMismatch(
+            raise ValueError(
                 f"expected {expected} amplitudes for {self.mode_count} mode(s) "
                 f"at n_max={self.cutoff.n_max}, got shape {amps.shape}"
             )
@@ -109,7 +107,7 @@ class MultiModeState:
     def amplitude(self, occupations: Sequence[int]) -> complex:
         """Amplitude on the basis state |n_1, ..., n_k>."""
         if len(occupations) != self.mode_count:
-            raise DimensionMismatch(
+            raise ValueError(
                 f"expected {self.mode_count} occupation numbers, got {len(occupations)}"
             )
         return complex(self.amplitudes[_flat_index(occupations, self.cutoff)])
@@ -165,9 +163,13 @@ def _flat_index(occupations: Sequence[int], cutoff: FockCutoff) -> int:
     """Row-major index of |n_1, ..., n_k>, each occupation checked against the cutoff."""
     idx = 0
     for n in occupations:
-        if not 0 <= int(n) <= cutoff.n_max:
-            raise OccupationExceedsCutoff(f"occupation {n} outside [0, {cutoff.n_max}]")
-        idx = idx * cutoff.dim + int(n)
+        try:
+            n = operator.index(n)
+        except TypeError:
+            raise ValueError(f"occupation {n!r} is not an integer") from None
+        if not 0 <= n <= cutoff.n_max:
+            raise ValueError(f"occupation {n} outside [0, {cutoff.n_max}]")
+        idx = idx * cutoff.dim + n
     return idx
 
 
@@ -206,14 +208,14 @@ def renormalize(s: MultiModeState) -> MultiModeState:
     """Scale to unit norm, preserving direction and global phase."""
     nrm = s.norm()
     if nrm == 0.0:
-        raise ZeroStateError("cannot renormalize the zero vector")
+        raise ValueError("cannot renormalize the zero vector")
     return s.with_amplitudes(s.amplitudes / nrm)
 
 
 def tensor(a: MultiModeState, b: MultiModeState) -> MultiModeState:
     """Tensor product; modes of ``a`` come first (and stay slowest)."""
     if a.cutoff != b.cutoff:
-        raise CutoffMismatch(
+        raise ValueError(
             f"cutoffs differ: n_max={a.cutoff.n_max} vs n_max={b.cutoff.n_max}"
         )
     amps = np.multiply.outer(a.amplitudes, b.amplitudes).reshape(-1)

@@ -45,12 +45,12 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import DimensionMismatch
 from .fock import (
     NORMALIZATION_TOL,
     FockCutoff,
@@ -167,7 +167,7 @@ def mach_zehnder(
     object, or ``0.5``, ``0.5+0j`` and ``np.float64(0.5)``, hit one entry.
     """
     if input_a1.mode_count != 1:
-        raise DimensionMismatch("upper-path input must be a single-mode state")
+        raise ValueError("upper-path input must be a single-mode state")
     if not math.isfinite(float(theta) * input_a1.cutoff.n_max):  # the top phase n_max theta
         raise ValueError(f"theta * n_max must be finite, got theta {theta}")
     cutoff = input_a1.cutoff
@@ -239,7 +239,7 @@ class DetectorStatistics:
 def detector_statistics(s: MultiModeState) -> DetectorStatistics:
     """Counting statistics of an ideal number-resolving detector pair."""
     if s.mode_count != 2:
-        raise DimensionMismatch("detector pair expects a two-mode state")
+        raise ValueError("detector pair expects a two-mode state")
     joint = np.abs(s.as_tensor()) ** 2
     joint.setflags(write=False)
     return DetectorStatistics(joint, joint.sum(axis=1), joint.sum(axis=0))
@@ -247,6 +247,10 @@ def detector_statistics(s: MultiModeState) -> DetectorStatistics:
 
 def poisson_pmf(n: int, mu: float) -> float:
     """exp(-mu) mu^n / n! for n = 0, 1, 2, ..."""
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise ValueError(f"n must be a non-negative integer, got {n!r}") from None
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
     if not 0 <= mu < math.inf:

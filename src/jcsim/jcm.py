@@ -40,7 +40,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, ZeroStateError
 from .fock import FockCutoff, MultiModeState, as_cutoff
 
 
@@ -58,7 +57,7 @@ class AtomFieldState:
     def __post_init__(self) -> None:
         amps = np.ascontiguousarray(self.amplitudes, dtype=np.complex128)
         if amps.shape != (2 * self.cutoff.dim,):
-            raise DimensionMismatch(
+            raise ValueError(
                 f"expected {2 * self.cutoff.dim} amplitudes, got shape {amps.shape}"
             )
         amps.setflags(write=False)
@@ -156,13 +155,13 @@ def ns_gate(
     is the squared norm of the unnormalized projection.
     """
     if input_state.mode_count != 1:
-        raise DimensionMismatch("the gate acts on a single-mode state")
+        raise ValueError("the gate acts on a single-mode state")
     if not input_state.is_normalized:
         raise ValueError("input state must be normalized")
     surviving = input_state.amplitudes * ns_post_selected_diagonal(m, input_state.cutoff)
     success_probability = float(np.vdot(surviving, surviving).real)
     if success_probability == 0.0:
-        raise ZeroStateError("atom is never found in |g>; nothing to post-select")
+        raise ValueError("atom is never found in |g>; nothing to post-select")
     amps = surviving / math.sqrt(success_probability)
     if apply_compensating_phase:
         amps = amps * (-1.0) ** np.arange(input_state.cutoff.dim)

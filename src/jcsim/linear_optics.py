@@ -51,7 +51,6 @@ from functools import lru_cache
 import numpy as np
 
 from . import jcm
-from .errors import DimensionMismatch, ModeIndexOutOfRange, ZeroStateError
 from .fock import FockCutoff, MultiModeState, number_state
 
 
@@ -152,7 +151,7 @@ def beam_splitter(s: MultiModeState, mode_i: int, mode_j: int) -> MultiModeState
     """Apply the 50:50 splitter to modes (mode_i, mode_j); mode_i carries the plus arm."""
     for mode in (mode_i, mode_j):
         if not 0 <= mode < s.mode_count:
-            raise ModeIndexOutOfRange(f"mode {mode} outside [0, {s.mode_count - 1}]")
+            raise ValueError(f"mode {mode} outside [0, {s.mode_count - 1}]")
     if mode_i == mode_j:
         raise ValueError("beam splitter needs two distinct modes")
     blocks, p, q = _splitter_blocks(s.cutoff.dim)
@@ -228,7 +227,7 @@ def csf_gate(
     half a state, so a call peaks near 1.5 state-sized buffers.
     """
     if s.mode_count != 4:
-        raise DimensionMismatch("the network acts on four modes (x1, x2, y1, y2)")
+        raise ValueError("the network acts on four modes (x1, x2, y1, y2)")
     if not s.is_normalized:
         raise ValueError("input state must be normalized")
     diag = _sign_shift_diagonal(ns_mode, m, s.cutoff)
@@ -237,7 +236,7 @@ def csf_gate(
     mixed = (blocks * (diag[p] * diag[q])[:, :, None]) @ rows
     success_probability = float(np.vdot(mixed, mixed))
     if success_probability == 0.0:
-        raise ZeroStateError("nothing survives the cutoff and the sign-shift heralds")
+        raise ValueError("nothing survives the cutoff and the sign-shift heralds")
     np.matmul(blocks / math.sqrt(success_probability), mixed, out=rows)
     del mixed
     return _scatter(s, _CSF_AXES, p, q, rows), success_probability

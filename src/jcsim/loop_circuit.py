@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import SimulatorError
 from .jcm import ns_gate_times
 
 SPEED_OF_LIGHT = 2.998e8  # m/s
@@ -59,10 +58,6 @@ _PHASES = (
     (("pc", "pbs"), ("a", "H"),
      "cell off during extraction: |V> keeps circulating, the photon is trapped"),
 )
-
-
-class ProtocolViolation(SimulatorError):
-    """The schedule would eject the photon early or trap it in the loop."""
 
 
 @dataclass(frozen=True)
@@ -116,7 +111,7 @@ def run_loop_protocol(schedule: LoopSchedule) -> ProtocolTrace:
     """Execute the three-phase loop on a single injected photon.
 
     The photon arrives horizontally polarized on path a (only H is steered
-    into the loop by the splitter).  Raises :class:`ProtocolViolation` if
+    into the loop by the splitter).  Raises ``ValueError`` if
     any phase would eject the photon before extraction or leave it
     circulating afterwards.
     """
@@ -129,7 +124,7 @@ def run_loop_protocol(schedule: LoopSchedule) -> ProtocolTrace:
             label = _pbs(label) if element == "pbs" else _pockels(label, phase.pc_on)
             steps.append(TraceStep(number, element, phase.pc_on, *label))
         if label != after:
-            raise ProtocolViolation(violation)
+            raise ValueError(violation)
     return ProtocolTrace(
         tuple(steps), exit_phase=3, interaction_window=schedule.phases[1].duration
     )

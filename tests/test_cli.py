@@ -323,6 +323,16 @@ def test_mach_zehnder_sampler_domain_is_runtime_error(extra, capsys):
     assert_one_error_line(err)
 
 
+def test_mach_zehnder_negative_shots_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["mach-zehnder", "--alpha", "0.5", "--theta", "1", "--shots", "-1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert_one_error_line(captured.err)
+    assert "--shots must be >= 0" in captured.err
+
+
 @pytest.mark.parametrize(
     "extra",
     [

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
-from jcsim.errors import CutoffMismatch, OccupationExceedsCutoff, ZeroStateError
 from jcsim.fock import (
     FockCutoff,
     MultiModeState,
@@ -53,13 +53,50 @@ def test_number_state_basis_vectors():
 
 
 def test_number_state_rejects_overfull_mode():
-    with pytest.raises(OccupationExceedsCutoff):
+    with pytest.raises(ValueError, match=r"occupation 5 outside \[0, 4\]"):
         number_state([5], 4)
 
 
 def test_cutoff_must_allow_two_photons():
     with pytest.raises(ValueError):
         FockCutoff(1)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: FockCutoff(2.5), "n_max must be an integer, got 2.5"),
+        (lambda: coherent_state(0.5, 12.9), "n_max must be an integer, got 12.9"),
+        (lambda: number_state([2.7], 3), "occupation 2.7 is not an integer"),
+        (lambda: number_state(["2"], 3), "occupation '2' is not an integer"),
+        (lambda: number_state([2], 3).amplitude([1.9]), "occupation 1.9 is not an integer"),
+    ],
+    ids=["cutoff", "coherent-cutoff", "occupation", "occupation-text", "amplitude-occupation"],
+)
+def test_non_integral_cutoff_or_occupation_is_refused(build, message):
+    # flooring would run at a cutoff or read an amplitude nobody asked for
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build()
+
+
+def test_numpy_integers_pass_as_cutoff_and_occupation():
+    cutoff = FockCutoff(np.int64(5))
+    assert type(cutoff.n_max) is int and cutoff == FockCutoff(5)
+    state = number_state([np.int64(2), 1], np.int64(3))
+    assert state.amplitude([np.int64(2), 1]) == 1.0
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: MultiModeState(5, FockCutoff(2), np.zeros(9)), "mode_count 5 needs more than"),
+        (lambda: number_state([0, 0], 2).amplitude([0]), "expected 2 occupation numbers"),
+    ],
+    ids=["mode-count", "occupation-count"],
+)
+def test_shape_mismatch_is_refused(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 def test_coherent_alpha_zero_is_vacuum():
@@ -154,7 +191,7 @@ def test_renormalize_scaling():
 
 def test_renormalize_zero_vector():
     zero = number_state([0], 4).with_amplitudes(np.zeros(5))
-    with pytest.raises(ZeroStateError):
+    with pytest.raises(ValueError, match="cannot renormalize the zero vector"):
         renormalize(zero)
 
 
@@ -196,7 +233,7 @@ def test_tensor_equals_kron_bitwise(modes_a, modes_b):
 
 
 def test_tensor_cutoff_mismatch():
-    with pytest.raises(CutoffMismatch):
+    with pytest.raises(ValueError, match="cutoffs differ"):
         tensor(number_state([0], 3), number_state([0], 4))
 
 

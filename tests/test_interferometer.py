@@ -9,7 +9,6 @@ from oracles import mach_zehnder_chain, pair_above_cutoff
 from scipy import stats as scipy_stats
 
 from jcsim import interferometer
-from jcsim.errors import DimensionMismatch
 from jcsim.fock import (
     FockCutoff,
     MultiModeState,
@@ -422,7 +421,7 @@ def test_other_input_or_alpha_misses():
 
 def test_two_mode_input_raises_and_stores_nothing():
     pair = tensor(coherent_state(0.5, 12), coherent_state(0.5, 12))
-    with pytest.raises(DimensionMismatch, match="single-mode"):
+    with pytest.raises(ValueError, match="single-mode"):
         mach_zehnder(pair, 0.5, 1.0)
     info = _theta_coefficients.cache_info()
     assert (info.misses, info.currsize) == (0, 0)
@@ -506,6 +505,24 @@ def test_poisson_pmf_domain():
         poisson_pmf(1, math.inf)
 
 
+def test_poisson_pmf_counts_are_integers():
+    for n in (2.5, 2.0, "2"):
+        with pytest.raises(ValueError, match="n must be a non-negative integer"):
+            poisson_pmf(n, 1.0)
+    assert poisson_pmf(np.int64(2), 1.0) == poisson_pmf(2, 1.0)
+
+
+def test_non_integral_cavity_cutoff_is_refused():
+    # flooring would run the cavity at n_max 12 under a 12.9 label
+    with pytest.raises(ValueError, match="n_max must be an integer, got 12.9"):
+        cavity_ns_output(0.5, 3, 12.9)
+
+
+def test_detector_pair_refuses_a_single_mode_state():
+    with pytest.raises(ValueError, match="two-mode"):
+        detector_statistics(coherent_state(0.5, 4))
+
+
 def test_poisson_pmf_far_tail_and_huge_mean_vanish():
     # neither mu**n nor n! is formed, so a term below the float range is 0.0
     assert poisson_pmf(200, 0.4665) == 0.0
@@ -522,7 +539,7 @@ def test_poisson_pmf_far_tail_and_huge_mean_vanish():
 
 
 def test_conditional_run_rejects_zero_shots():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="shots must be >= 1"):
         conditional_run(0, 1, 0.5, 3, math.pi / 2)
 
 

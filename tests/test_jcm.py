@@ -264,8 +264,21 @@ def test_ns_gate_uniform_input_m3_with_compensator():
 
 def test_ns_gate_requires_normalized_input():
     bad = number_state([0], 6).with_amplitudes(2.0 * number_state([0], 6).amplitudes)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="input state must be normalized"):
         ns_gate(bad, m=1)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: AtomFieldState(FockCutoff(2), np.zeros(5)), "expected 6 amplitudes"),
+        (lambda: ns_gate(number_state([0, 0], 3), 1), "single-mode"),
+    ],
+    ids=["atom-field-size", "two-mode-input"],
+)
+def test_wrong_shape_is_refused(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 def test_ns_gate_matches_post_selected_diagonal():

@@ -15,7 +15,6 @@ from oracles import (
 )
 
 from jcsim import cli, jcm
-from jcsim.errors import ModeIndexOutOfRange, ZeroStateError
 from jcsim.fock import (
     FockCutoff,
     MultiModeState,
@@ -225,12 +224,12 @@ def test_splitter_cache_holds_at_most_four_dimensions():
 
 
 def test_beam_splitter_mode_out_of_range():
-    with pytest.raises(ModeIndexOutOfRange):
+    with pytest.raises(ValueError, match=r"mode 5 outside \[0, 1\]"):
         beam_splitter(number_state([0, 0], 3), 0, 5)
 
 
 def test_spec_rejects_equal_modes():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="two distinct modes"):
         beam_splitter(number_state([0, 0], 3), 1, 1)
 
 
@@ -400,12 +399,29 @@ def test_csf_truncation_loses_at_most_the_mixed_rails_tail(ns_mode, n_max, seed)
 def test_csf_with_nothing_inside_the_cutoff_raises(ns_mode):
     # |3, 3> on (x1, y1) at n_max 3 has N = 6 > n_max, outside the model: the
     # first splitter cuts all of it, so no state survives
-    with pytest.raises(ZeroStateError):
+    with pytest.raises(ValueError, match="nothing survives the cutoff"):
         csf_gate(number_state([3, 0, 3, 0], 3), ns_mode=ns_mode)
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: logical_basis_state(2, 0, 2), "0 or 1"),
+        (lambda: csf_gate(number_state([0, 1], 2)), "four modes"),
+        (
+            lambda: csf_gate(number_state([0, 1, 0, 1], 2).with_amplitudes(np.zeros(81))),
+            "normalized",
+        ),
+    ],
+    ids=["logical-label", "two-mode-input", "unnormalized-input"],
+)
+def test_csf_refuses_malformed_input(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 def test_csf_rejects_unknown_mode():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="ns_mode must be 'ideal' or 'jcm'"):
         csf_gate(logical_basis_state(0, 0, 6), ns_mode="magic")
 
 

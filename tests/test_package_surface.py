@@ -123,3 +123,19 @@ def test_import_jcsim_loads_every_layer():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     ).stdout
     assert {f"jcsim.{layer}" for layer in LAYERS} <= set(ast.literal_eval(out))
+
+
+def test_the_package_defines_no_exception_class():
+    # every refusal is a ValueError, the one type the command line turns
+    # into an ``error:`` line; a class of its own would only name a message
+    defined = []
+    for name in sorted(LAYERS | {"cli"}):
+        module = importlib.import_module(f"jcsim.{name}")
+        defined += [
+            f"{name}.{cls.__name__}"
+            for cls in vars(module).values()
+            if inspect.isclass(cls)
+            and cls.__module__ == module.__name__
+            and issubclass(cls, BaseException)
+        ]
+    assert defined == []

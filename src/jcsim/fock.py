@@ -70,6 +70,13 @@ class MultiModeState:
     amplitudes: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
+        if type(self.mode_count) is not int:  # every state passes here; skip the common case
+            try:
+                mode_count = operator.index(self.mode_count)
+            except TypeError:
+                message = f"mode_count must be an integer, got {self.mode_count!r}"
+                raise ValueError(message) from None
+            object.__setattr__(self, "mode_count", mode_count)
         if self.mode_count < 1:
             raise ValueError(f"mode_count must be >= 1, got {self.mode_count}")
         amps = np.ascontiguousarray(self.amplitudes, dtype=np.complex128)

@@ -35,10 +35,11 @@ or warm, contracts them with the phases, so a warm call runs no splitter and
 builds no reference.
 
 Exact joint counting statistics are computed from the simulated two-mode
-state.  The Monte Carlo detection record is one multinomial draw of the
-whole joint count table from that distribution, so its cost does not grow
-with the shot count and its only randomness is shot noise under a
-caller-supplied seed.
+state.  Each detector's marginal is reduced from them on its first read, so
+a caller that reads only the joint table pays for no reduction.  The Monte
+Carlo detection record is one multinomial draw of the whole joint count
+table from that distribution, so its cost does not grow with the shot count
+and its only randomness is shot noise under a caller-supplied seed.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ import cmath
 import math
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -62,6 +63,15 @@ from .fock import (
 )
 from .jcm import ns_gate
 from .linear_optics import _splitter_blocks, beam_splitter
+
+
+#: The branch phases e^{+-i pi/3} of the cavity's two-coherent-state model.
+_BRANCH_PLUS = cmath.exp(1j * math.pi / 3)
+_BRANCH_MINUS = cmath.exp(-1j * math.pi / 3)
+
+#: Entries of one column block of the theta table, below the 4096 at which
+#: OpenBLAS threads a complex matrix-vector product.
+_BLOCK_ENTRIES = 4095
 
 
 @dataclass(frozen=True)
@@ -119,8 +129,8 @@ def cat_reference(
     flag to get the unit-norm version.
     """
     cutoff = as_cutoff(cutoff)
-    plus = coherent_state(cmath.exp(1j * math.pi / 3) * alpha, cutoff)
-    minus = coherent_state(cmath.exp(-1j * math.pi / 3) * alpha, cutoff)
+    plus = coherent_state(_BRANCH_PLUS * alpha, cutoff)
+    minus = coherent_state(_BRANCH_MINUS * alpha, cutoff)
     state = plus.with_amplitudes(0.5 * (plus.amplitudes + minus.amplitudes))
     return renormalize(state) if exact_norm else state
 
@@ -141,12 +151,10 @@ class InterferometerResponse:
 def f_functions(theta: float, alpha: complex = 0j) -> InterferometerResponse:
     """The four branch response functions, plus counting means at ``alpha``."""
     rot = cmath.exp(1j * theta)
-    plus = cmath.exp(1j * math.pi / 3)
-    minus = cmath.exp(-1j * math.pi / 3)
-    f1 = (rot + 1) * plus + (rot - 1)
-    f2 = (rot - 1) * plus + (rot + 1)
-    f3 = (rot + 1) * minus + (rot - 1)
-    f4 = (rot - 1) * minus + (rot + 1)
+    f1 = (rot + 1) * _BRANCH_PLUS + (rot - 1)
+    f2 = (rot - 1) * _BRANCH_PLUS + (rot + 1)
+    f3 = (rot + 1) * _BRANCH_MINUS + (rot - 1)
+    f4 = (rot - 1) * _BRANCH_MINUS + (rot + 1)
     mu1 = abs(alpha * f1 / 2) ** 2
     mu2 = abs(alpha * f2 / 2) ** 2
     return InterferometerResponse(theta, f1, f2, f3, f4, mu1, mu2)
@@ -171,26 +179,32 @@ def mach_zehnder(
     if not math.isfinite(float(theta) * input_a1.cutoff.n_max):  # the top phase n_max theta
         raise ValueError(f"theta * n_max must be finite, got theta {theta}")
     cutoff = input_a1.cutoff
-    kept, table = _theta_coefficients(input_a1.amplitudes.tobytes(), complex(alpha_a2), cutoff)
+    photons, blocks = _theta_coefficients(
+        input_a1.amplitudes.tobytes(), complex(alpha_a2), cutoff
+    )
+    phases = np.exp(1j * theta * photons)
     out = np.zeros(cutoff.dim**2, dtype=np.complex128)
-    # One (1 x dim) (dim x dim(dim+1)/2) product over the kept pairs only.
-    # OpenBLAS 0.3.31 (numpy 2.4, 2-core Xeon) hands a complex matrix-vector
-    # product to a second thread once its matrix holds 4096 entries: over all
-    # dim^2 pairs that is n_max >= 15, where the theta sweep's CPU time
-    # doubles and its wall time does not fall; over the kept pairs, n_max >= 19.
-    out[kept] = np.exp(1j * theta * np.arange(cutoff.dim)) @ table
+    # One (1 x dim) (dim x columns) product per column block of the kept
+    # pairs.  Each block stays below OpenBLAS's threading size, and a second
+    # thread would sum in another order, so the output does not depend on
+    # the BLAS thread count.
+    for kept, table in blocks:
+        out[kept] = phases @ table
     return MultiModeState(2, cutoff, out)
 
 
 @lru_cache(maxsize=4)
 def _theta_coefficients(
     input_a1: bytes, alpha_a2: complex, cutoff: FockCutoff
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, tuple[tuple[np.ndarray, np.ndarray], ...]]:
     """The theta polynomial of :func:`mach_zehnder`, cached per key.
 
-    Returns the flat two-mode indices of the kept pairs n_0 + n_1 <= n_max,
-    the only ones a splitter leaves nonzero, and the (dim, dim(dim+1)/2)
-    table whose row n holds C[n] = B Pi_n F on them, both read-only.  F is
+    Returns the photon numbers 0..n_max that theta multiplies, and the
+    (dim, dim(dim+1)/2) table whose row n holds C[n] = B Pi_n F on the kept
+    pairs n_0 + n_1 <= n_max, the only ones a splitter leaves nonzero.  The
+    table comes split into blocks of at most floor(4095 / dim) columns, each
+    paired with the flat two-mode indices of its pairs; both are views, and
+    every array is read-only.  Up to n_max 18 there is one block.  F is
     the first splitter's output.  The second splitter builds every row at
     once: it mixes modes (1, 2) of the three-mode state L[n, a, b] =
     delta_na F[a, b], whose mode 0 only labels the upper-path photon number
@@ -200,9 +214,10 @@ def _theta_coefficients(
     L takes 16 dim^3 bytes, the largest array of the Mach-Zehnder.  With the
     second splitter's gathered and mixed stacks (about 8 dim^3 bytes each)
     and its output (16 dim^3), a cold build peaks near 48 dim^3 bytes, which
-    the CLI budgets.  An entry takes 8 dim^2 (dim + 1) bytes: 41.6 KB at
-    n_max 16 and 11.0 MB at the CLI's largest n_max, 110, so the store keeps
-    four.
+    the CLI budgets.  An entry takes 8 dim^2 (dim + 1) bytes for the table,
+    4 dim (dim + 1) for its indices and 8 dim for the photon numbers: 43.0 KB
+    at n_max 16 and 11.1 MB at the CLI's largest n_max, 110, so the store
+    keeps four.
     """
     upper = MultiModeState(1, cutoff, np.frombuffer(input_a1, dtype=np.complex128))
     first = beam_splitter(tensor(upper, coherent_state(alpha_a2, cutoff)), 0, 1)
@@ -214,18 +229,33 @@ def _theta_coefficients(
     pairs = dim * (dim + 1) // 2  # the kept pairs lead the folded slots, each once
     kept = p.reshape(-1)[:pairs] * dim + q.reshape(-1)[:pairs]
     table = np.take(mixed.amplitudes.reshape(dim, dim * dim), kept, axis=1)
-    for array in (kept, table):
+    photons = np.arange(dim)
+    for array in (kept, table, photons):
         array.setflags(write=False)
-    return kept, table
+    width = _BLOCK_ENTRIES // dim
+    blocks = tuple(
+        (kept[start : start + width], table[:, start : start + width])
+        for start in range(0, pairs, width)
+    )
+    return photons, blocks
 
 
 @dataclass(frozen=True)
 class DetectorStatistics:
-    """Exact joint and marginal photon-count distributions of two detectors."""
+    """Exact joint and marginal photon-count distributions of two detectors.
+
+    Each marginal is reduced from the joint table on its first read and kept.
+    """
 
     joint: np.ndarray        # joint[n1, n2] = P(D1 = n1, D2 = n2)
-    marginal_d1: np.ndarray
-    marginal_d2: np.ndarray
+
+    @cached_property
+    def marginal_d1(self) -> np.ndarray:
+        return self.joint.sum(axis=1)
+
+    @cached_property
+    def marginal_d2(self) -> np.ndarray:
+        return self.joint.sum(axis=0)
 
     @property
     def mean_d1(self) -> float:
@@ -242,7 +272,7 @@ def detector_statistics(s: MultiModeState) -> DetectorStatistics:
         raise ValueError("detector pair expects a two-mode state")
     joint = np.abs(s.as_tensor()) ** 2
     joint.setflags(write=False)
-    return DetectorStatistics(joint, joint.sum(axis=1), joint.sum(axis=0))
+    return DetectorStatistics(joint)
 
 
 def poisson_pmf(n: int, mu: float) -> float:

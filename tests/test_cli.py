@@ -672,6 +672,25 @@ def test_truncated_coherent_input_prints_one_error_line():
     assert run.stderr.startswith("error: a coherent input of |alpha| = 0.9 loses")
 
 
+@pytest.mark.parametrize("n_max", ["19", "40"])
+def test_mach_zehnder_results_do_not_depend_on_the_blas_thread_count(n_max):
+    # from n_max 19 the kept theta table holds more than the 4096 entries at
+    # which OpenBLAS threads a complex matrix-vector product
+    argv = ["mach-zehnder", "--alpha", "0.5", "--theta", "1", "--n-max", n_max]
+    results = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "OPENBLAS_NUM_THREADS": threads}
+        run = subprocess.run(
+            [sys.executable, "-m", "jcsim.cli", *argv],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        results.append(json.dumps(json.loads(run.stdout)["results"]))
+    assert results[0] == results[1]
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -70,8 +70,24 @@ def test_cutoff_must_allow_two_photons():
         (lambda: number_state([2.7], 3), "occupation 2.7 is not an integer"),
         (lambda: number_state(["2"], 3), "occupation '2' is not an integer"),
         (lambda: number_state([2], 3).amplitude([1.9]), "occupation 1.9 is not an integer"),
+        (
+            lambda: MultiModeState(1.0, FockCutoff(2), np.array([1, 0, 0])),
+            "mode_count must be an integer, got 1.0",
+        ),
+        (
+            lambda: MultiModeState("1", FockCutoff(2), np.array([1, 0, 0])),
+            "mode_count must be an integer, got '1'",
+        ),
     ],
-    ids=["cutoff", "coherent-cutoff", "occupation", "occupation-text", "amplitude-occupation"],
+    ids=[
+        "cutoff",
+        "coherent-cutoff",
+        "occupation",
+        "occupation-text",
+        "amplitude-occupation",
+        "mode-count",
+        "mode-count-text",
+    ],
 )
 def test_non_integral_cutoff_or_occupation_is_refused(build, message):
     # flooring would run at a cutoff or read an amplitude nobody asked for
@@ -246,6 +262,14 @@ def test_json_roundtrip():
     assert back.mode_count == 2
     assert back.cutoff == s.cutoff
     assert np.allclose(back.amplitudes, s.amplitudes)
+
+
+def test_numpy_integer_mode_count_round_trips_as_int():
+    # a float mode_count would be written as 1.0, which from_json refuses
+    s = MultiModeState(np.int64(1), FockCutoff(2), np.array([1, 0, 0]))
+    back = MultiModeState.from_json(s.to_json())
+    assert type(s.mode_count) is int and type(back.mode_count) is int
+    assert back.mode_count == 1 and np.array_equal(back.amplitudes, s.amplitudes)
 
 
 def test_json_index_order_is_mode0_slowest():

@@ -272,9 +272,10 @@ def test_mach_zehnder_zero_phase_is_transparent():
 CHAIN_THETAS = [*np.linspace(-7, 7, 57), 1e3, -1e3]
 
 
-@pytest.mark.parametrize("n_max", [2, 3, 12, 16, 17, 40])
+@pytest.mark.parametrize("n_max", [2, 3, 12, 16, 17, 18, 19, 40])
 def test_mach_zehnder_matches_the_per_theta_chain(n_max):
-    # odd and even n_max fold the splitter's sectors differently
+    # odd and even n_max fold the splitter's sectors differently; the theta
+    # table is one column block up to n_max 18 and several from 19
     alpha = 0.3 + 0.4j
     photons = coherent_state(alpha, n_max)
     # the heralded cavity at every m, on an input renormalized at any cutoff
@@ -442,13 +443,34 @@ def test_stored_reference_mix_is_read_only():
     state = cavity_ns_output(0.5, 3, 12).state
     entry = _theta_coefficients(state.amplitudes.tobytes(), 0.5 + 0j, state.cutoff)
     assert _theta_coefficients(state.amplitudes.tobytes(), 0.5 + 0j, state.cutoff) is entry
-    kept, table = entry
+    photons, blocks = entry
     dim = state.cutoff.dim
+    assert len(blocks) == 1
+    kept, table = blocks[0]
     assert table.shape == (dim, dim * (dim + 1) // 2) and kept.shape == (dim * (dim + 1) // 2,)
-    for array in entry:
+    assert np.array_equal(photons, np.arange(dim))
+    for array in (photons, kept, table):
         assert not array.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0
+
+
+@pytest.mark.parametrize("n_max", [18, 19, 40])
+def test_theta_table_blocks_stay_below_the_blas_threading_size(n_max):
+    # every block is a read-only view of one table, split by columns in order
+    state = coherent_state(0.5, n_max)
+    _, blocks = _theta_coefficients(state.amplitudes.tobytes(), 0.5 + 0j, state.cutoff)
+    dim = state.cutoff.dim
+    pairs = dim * (dim + 1) // 2
+    assert len(blocks) == math.ceil(pairs / (4095 // dim))
+    assert (len(blocks) == 1) == (n_max <= 18)
+    assert all(table.size < 4096 for _, table in blocks)
+    assert np.concatenate([kept for kept, _ in blocks]).shape == (pairs,)
+    assert np.concatenate([table for _, table in blocks], axis=1).shape == (dim, pairs)
+    kept_base, table_base = blocks[0][0].base, blocks[0][1].base
+    for kept, table in blocks:
+        assert kept.base is kept_base and table.base is table_base
+        assert not kept.flags.writeable and not table.flags.writeable
 
 
 # -- detector statistics ----------------------------------------------------------------
@@ -467,6 +489,17 @@ def test_detector_statistics_weak_arm():
     stats = detector_statistics(tensor(arm, number_state([0], 12)))
     assert abs(stats.marginal_d1[1] - 0.03239) < 5e-5
     assert abs(stats.marginal_d1[2] - 0.0005424) < 5e-5
+
+
+def test_detector_marginals_are_reduced_on_first_read():
+    stats = detector_statistics(mach_zehnder(cavity_ns_output(0.5, 3, 12).state, 0.5, 1.0))
+    assert "marginal_d1" not in vars(stats) and "marginal_d2" not in vars(stats)
+    d1 = stats.marginal_d1
+    assert "marginal_d2" not in vars(stats)
+    d2 = stats.marginal_d2
+    assert np.array_equal(d1, stats.joint.sum(axis=1))
+    assert np.array_equal(d2, stats.joint.sum(axis=0))
+    assert stats.marginal_d1 is d1 and stats.marginal_d2 is d2
 
 
 def test_detector_statistics_vacuum():

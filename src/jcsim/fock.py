@@ -20,6 +20,7 @@ underlying numpy buffers are marked read-only.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 import operator
@@ -197,9 +198,12 @@ def coherent_state(alpha: complex, cutoff: int | FockCutoff) -> MultiModeState:
     Amplitudes are exp(-|alpha|^2/2) alpha^n / sqrt(n!) for n <= n_max, so
     ``norm_squared`` reports 1 minus the truncated Poisson tail; a caller
     that needs the mass whole checks it there, as ``cavity_ns_output`` does.
+    A NaN or infinite alpha is refused.
     """
     cutoff = as_cutoff(cutoff)
     alpha = complex(alpha)
+    if not cmath.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha}")
     mean = abs(alpha) ** 2
     n = np.arange(cutoff.dim)
     # sqrt(n!) as exp(0.5 * sum(log k)), so no factorial overflows

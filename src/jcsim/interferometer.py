@@ -30,9 +30,13 @@ degree n_max in e^{i theta} (the SU(2) view of Yurke, McCall & Klauder, PRA
 (input x |alpha>), B the splitter and Pi_n the projection onto n photons in
 the upper path.  The coefficients are built once per (input state, alpha,
 n_max), by the first splitter and then the second on a copy of its output
-that carries n as a third mode's label, and shared read-only.  A call, cold
-or warm, contracts them with the phases, so a warm call runs no splitter and
-builds no reference.
+that carries n as a third mode's label, and shared read-only as a table
+with one row per kept pair n_0 + n_1 <= n_max and one column per n.  A call,
+cold or warm, multiplies that table by the phases, so a warm call runs no
+splitter and builds no reference.  Each output amplitude is then one dot
+product over the photon numbers: OpenBLAS may share the outputs among
+threads but never splits one, so the output does not depend on the BLAS
+thread count.
 
 Exact joint counting statistics are computed from the simulated two-mode
 state.  Each detector's marginal is reduced from them on its first read, so
@@ -62,16 +66,12 @@ from .fock import (
     tensor,
 )
 from .jcm import ns_gate
-from .linear_optics import _splitter_blocks, beam_splitter
+from .linear_optics import beam_splitter
 
 
 #: The branch phases e^{+-i pi/3} of the cavity's two-coherent-state model.
 _BRANCH_PLUS = cmath.exp(1j * math.pi / 3)
 _BRANCH_MINUS = cmath.exp(-1j * math.pi / 3)
-
-#: Entries of one column block of the theta table, below the 4096 at which
-#: OpenBLAS threads a complex matrix-vector product.
-_BLOCK_ENTRIES = 4095
 
 
 @dataclass(frozen=True)
@@ -179,33 +179,27 @@ def mach_zehnder(
     if not math.isfinite(float(theta) * input_a1.cutoff.n_max):  # the top phase n_max theta
         raise ValueError(f"theta * n_max must be finite, got theta {theta}")
     cutoff = input_a1.cutoff
-    photons, blocks = _theta_coefficients(
+    photons, kept, table = _theta_coefficients(
         input_a1.amplitudes.tobytes(), complex(alpha_a2), cutoff
     )
-    phases = np.exp(1j * theta * photons)
     out = np.zeros(cutoff.dim**2, dtype=np.complex128)
-    # One (1 x dim) (dim x columns) product per column block of the kept
-    # pairs.  Each block stays below OpenBLAS's threading size, and a second
-    # thread would sum in another order, so the output does not depend on
-    # the BLAS thread count.
-    for kept, table in blocks:
-        out[kept] = phases @ table
+    # one dot product per kept output amplitude, never split across threads
+    out[kept] = table @ np.exp(1j * theta * photons)
     return MultiModeState(2, cutoff, out)
 
 
 @lru_cache(maxsize=4)
 def _theta_coefficients(
     input_a1: bytes, alpha_a2: complex, cutoff: FockCutoff
-) -> tuple[np.ndarray, tuple[tuple[np.ndarray, np.ndarray], ...]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The theta polynomial of :func:`mach_zehnder`, cached per key.
 
-    Returns the photon numbers 0..n_max that theta multiplies, and the
-    (dim, dim(dim+1)/2) table whose row n holds C[n] = B Pi_n F on the kept
-    pairs n_0 + n_1 <= n_max, the only ones a splitter leaves nonzero.  The
-    table comes split into blocks of at most floor(4095 / dim) columns, each
-    paired with the flat two-mode indices of its pairs; both are views, and
-    every array is read-only.  Up to n_max 18 there is one block.  F is
-    the first splitter's output.  The second splitter builds every row at
+    Returns the triple (photons, kept, table): the photon numbers 0..n_max
+    that theta multiplies; the flat two-mode indices, in row-major order,
+    of the kept pairs n_0 + n_1 <= n_max, the only ones a splitter leaves
+    nonzero; and the C-contiguous (dim(dim+1)/2, dim) table whose column n
+    holds C[n] = B Pi_n F on those pairs.  Every array is read-only.  F is
+    the first splitter's output.  The second splitter builds every column at
     once: it mixes modes (1, 2) of the three-mode state L[n, a, b] =
     delta_na F[a, b], whose mode 0 only labels the upper-path photon number
     that theta multiplies.  Private, so that the public function stays plain
@@ -222,22 +216,17 @@ def _theta_coefficients(
     upper = MultiModeState(1, cutoff, np.frombuffer(input_a1, dtype=np.complex128))
     first = beam_splitter(tensor(upper, coherent_state(alpha_a2, cutoff)), 0, 1)
     dim = cutoff.dim
-    labelled = np.zeros((dim, dim, dim), dtype=np.complex128)
-    labelled[np.arange(dim), np.arange(dim)] = first.as_tensor()
-    mixed = beam_splitter(MultiModeState(3, cutoff, labelled.reshape(-1)), 1, 2)
-    _, p, q = _splitter_blocks(dim)
-    pairs = dim * (dim + 1) // 2  # the kept pairs lead the folded slots, each once
-    kept = p.reshape(-1)[:pairs] * dim + q.reshape(-1)[:pairs]
-    table = np.take(mixed.amplitudes.reshape(dim, dim * dim), kept, axis=1)
     photons = np.arange(dim)
-    for array in (kept, table, photons):
+    labelled = np.zeros((dim, dim, dim), dtype=np.complex128)
+    labelled[photons, photons] = first.as_tensor()
+    mixed = beam_splitter(MultiModeState(3, cutoff, labelled.reshape(-1)), 1, 2)
+    kept = np.flatnonzero(np.add.outer(photons, photons) <= cutoff.n_max)
+    # fancy indexing copies only the kept rows of the transposed view, where
+    # np.take would first copy the whole of mixed
+    table = mixed.amplitudes.reshape(dim, dim * dim).T[kept]
+    for array in (photons, kept, table):
         array.setflags(write=False)
-    width = _BLOCK_ENTRIES // dim
-    blocks = tuple(
-        (kept[start : start + width], table[:, start : start + width])
-        for start in range(0, pairs, width)
-    )
-    return photons, blocks
+    return photons, kept, table
 
 
 @dataclass(frozen=True)
@@ -322,8 +311,12 @@ def sample_conditioned(
     leading-order estimate of the conditioning frequency is the dominant
     branch weight 1/4 times the Poisson probability of one photon at that
     branch's mean; ``alpha`` and ``theta`` are the run the statistics came
-    from.
+    from.  ``shots`` and ``seed`` must be integers; numpy integers pass.
     """
+    try:
+        shots, seed = operator.index(shots), operator.index(seed)
+    except TypeError:
+        raise ValueError(f"shots and seed must be integers, got {shots!r} and {seed!r}") from None
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     if shots > 2**63 - 1:  # the multinomial counts are int64

@@ -672,9 +672,10 @@ def test_truncated_coherent_input_prints_one_error_line():
     assert run.stderr.startswith("error: a coherent input of |alpha| = 0.9 loses")
 
 
-@pytest.mark.parametrize("n_max", ["19", "40"])
+@pytest.mark.parametrize("n_max", ["12", "19", "40", "110"])
 def test_mach_zehnder_results_do_not_depend_on_the_blas_thread_count(n_max):
-    # from n_max 19 the kept theta table holds more than the 4096 entries at
+    # from the default cutoff to the largest admitted one: the theta table
+    # grows from about 1,200 entries to about 690,000, far past the 4096 at
     # which OpenBLAS threads a complex matrix-vector product
     argv = ["mach-zehnder", "--alpha", "0.5", "--theta", "1", "--n-max", n_max]
     results = []

@@ -27,6 +27,7 @@ from jcsim.interferometer import (
     f_functions,
     mach_zehnder,
     poisson_pmf,
+    sample_conditioned,
 )
 from jcsim.jcm import cm_dm, ns_gate
 
@@ -272,10 +273,10 @@ def test_mach_zehnder_zero_phase_is_transparent():
 CHAIN_THETAS = [*np.linspace(-7, 7, 57), 1e3, -1e3]
 
 
-@pytest.mark.parametrize("n_max", [2, 3, 12, 16, 17, 18, 19, 40])
+@pytest.mark.parametrize("n_max", [2, 3, 12, 16, 17, 18, 19, 40, 110])
 def test_mach_zehnder_matches_the_per_theta_chain(n_max):
-    # odd and even n_max fold the splitter's sectors differently; the theta
-    # table is one column block up to n_max 18 and several from 19
+    # odd and even n_max fold the splitter's sectors differently; 110 is the
+    # largest cutoff the CLI admits
     alpha = 0.3 + 0.4j
     photons = coherent_state(alpha, n_max)
     # the heralded cavity at every m, on an input renormalized at any cutoff
@@ -443,34 +444,31 @@ def test_stored_reference_mix_is_read_only():
     state = cavity_ns_output(0.5, 3, 12).state
     entry = _theta_coefficients(state.amplitudes.tobytes(), 0.5 + 0j, state.cutoff)
     assert _theta_coefficients(state.amplitudes.tobytes(), 0.5 + 0j, state.cutoff) is entry
-    photons, blocks = entry
-    dim = state.cutoff.dim
-    assert len(blocks) == 1
-    kept, table = blocks[0]
-    assert table.shape == (dim, dim * (dim + 1) // 2) and kept.shape == (dim * (dim + 1) // 2,)
-    assert np.array_equal(photons, np.arange(dim))
+    photons, kept, table = entry
+    n = np.arange(state.cutoff.dim)
+    assert np.array_equal(photons, n)
+    assert np.array_equal(kept, np.flatnonzero(np.add.outer(n, n) <= 12))
+    assert table.shape == (kept.size, n.size) and table.flags.c_contiguous
     for array in (photons, kept, table):
         assert not array.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0
 
 
-@pytest.mark.parametrize("n_max", [18, 19, 40])
-def test_theta_table_blocks_stay_below_the_blas_threading_size(n_max):
-    # every block is a read-only view of one table, split by columns in order
-    state = coherent_state(0.5, n_max)
-    _, blocks = _theta_coefficients(state.amplitudes.tobytes(), 0.5 + 0j, state.cutoff)
-    dim = state.cutoff.dim
-    pairs = dim * (dim + 1) // 2
-    assert len(blocks) == math.ceil(pairs / (4095 // dim))
-    assert (len(blocks) == 1) == (n_max <= 18)
-    assert all(table.size < 4096 for _, table in blocks)
-    assert np.concatenate([kept for kept, _ in blocks]).shape == (pairs,)
-    assert np.concatenate([table for _, table in blocks], axis=1).shape == (dim, pairs)
-    kept_base, table_base = blocks[0][0].base, blocks[0][1].base
-    for kept, table in blocks:
-        assert kept.base is kept_base and table.base is table_base
-        assert not kept.flags.writeable and not table.flags.writeable
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: mach_zehnder(cavity_ns_output(0.5, 3, 12).state, math.nan, 1.0),
+        lambda: coherent_state(complex("inf"), 4),
+        lambda: cavity_ns_output(math.nan, 3, 12),
+    ],
+    ids=["mach-zehnder", "coherent-state", "cavity"],
+)
+def test_non_finite_alpha_is_refused_and_stores_nothing(call):
+    stored = _theta_coefficients.cache_info().currsize
+    with pytest.raises(ValueError, match="alpha must be finite"):
+        call()
+    assert _theta_coefficients.cache_info().currsize == stored
 
 
 # -- detector statistics ----------------------------------------------------------------
@@ -580,6 +578,15 @@ def test_conditional_run_rejects_shots_beyond_int64():
     # the guard fires before the draw, so nothing of that size is allocated
     with pytest.raises(ValueError, match=r"2\*\*63 - 1"):
         conditional_run(2**63, 1, 0.5, 3, math.pi / 2)
+
+
+@pytest.mark.parametrize("shots, seed", [(2.5, 1), (10, 1.5)], ids=["shots", "seed"])
+def test_sample_conditioned_refuses_non_integer_shots_and_seed(shots, seed):
+    stats = detector_statistics(mach_zehnder(cavity_ns_output(0.5, 3, 12).state, 0.5, 1.0))
+    with pytest.raises(ValueError, match="must be integers"):
+        sample_conditioned(stats, shots, seed, 0.5, 1.0)
+    report = sample_conditioned(stats, np.int64(10), np.int64(3), 0.5, 1.0)
+    assert report.d1_counts.sum() == report.shots == 10
 
 
 def test_conditional_run_rejects_unreachable_condition():

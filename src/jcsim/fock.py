@@ -11,8 +11,8 @@ to JSON on one machine reconstructs identically on another.
 
 Coherent amplitudes are plain complex scalars.  Coherent states are stored
 truncated but *not* renormalized, so the squared norm directly exposes the
-truncation deficit; callers that need a unit vector apply ``renormalize``
-explicitly.
+truncation deficit; a caller that needs a unit vector divides by the norm
+itself, as ``jcm.ns_gate`` does after its herald.
 
 States are immutable values: every operation returns a new state and the
 underlying numpy buffers are marked read-only.
@@ -99,9 +99,6 @@ class MultiModeState:
 
     def norm_squared(self) -> float:
         return float(np.vdot(self.amplitudes, self.amplitudes).real)
-
-    def norm(self) -> float:
-        return math.sqrt(self.norm_squared())
 
     @property
     def is_normalized(self) -> bool:
@@ -204,23 +201,19 @@ def coherent_state(alpha: complex, cutoff: int | FockCutoff) -> MultiModeState:
     alpha = complex(alpha)
     if not cmath.isfinite(alpha):
         raise ValueError(f"alpha must be finite, got {alpha}")
-    mean = abs(alpha) ** 2
-    n = np.arange(cutoff.dim)
+    try:
+        weight = np.exp(-abs(alpha) ** 2 / 2)
+    except OverflowError:  # |alpha| or its square beyond the float range
+        weight = 0.0
+    if weight == 0.0:  # past |alpha| = 38.6; alpha**n may overflow, and 0 * inf is NaN
+        return MultiModeState(1, cutoff, np.zeros(cutoff.dim))
     # sqrt(n!) as exp(0.5 * sum(log k)), so no factorial overflows
     log_fact = np.cumsum(np.concatenate([[0.0], np.log(np.arange(1, cutoff.dim))]))
-    amps = np.exp(-mean / 2) * alpha**n / np.exp(0.5 * log_fact)
+    amps = weight * alpha ** np.arange(cutoff.dim) / np.exp(0.5 * log_fact)
     return MultiModeState(1, cutoff, amps)
 
 
 # -- operations -----------------------------------------------------------
-
-
-def renormalize(s: MultiModeState) -> MultiModeState:
-    """Scale to unit norm, preserving direction and global phase."""
-    nrm = s.norm()
-    if nrm == 0.0:
-        raise ValueError("cannot renormalize the zero vector")
-    return s.with_amplitudes(s.amplitudes / nrm)
 
 
 def tensor(a: MultiModeState, b: MultiModeState) -> MultiModeState:

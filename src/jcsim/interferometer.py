@@ -62,7 +62,6 @@ from .fock import (
     MultiModeState,
     as_cutoff,
     coherent_state,
-    renormalize,
     tensor,
 )
 from .jcm import ns_gate
@@ -131,8 +130,13 @@ def cat_reference(
     cutoff = as_cutoff(cutoff)
     plus = coherent_state(_BRANCH_PLUS * alpha, cutoff)
     minus = coherent_state(_BRANCH_MINUS * alpha, cutoff)
-    state = plus.with_amplitudes(0.5 * (plus.amplitudes + minus.amplitudes))
-    return renormalize(state) if exact_norm else state
+    amps = 0.5 * (plus.amplitudes + minus.amplitudes)
+    if exact_norm:
+        norm = math.sqrt(float(np.vdot(amps, amps).real))
+        if norm == 0.0:
+            raise ValueError(f"the cat reference at alpha {alpha} is 0 inside n_max {cutoff.n_max}")
+        amps = amps / norm
+    return MultiModeState(1, cutoff, amps)
 
 
 @dataclass(frozen=True)
@@ -214,6 +218,8 @@ def _theta_coefficients(
     keeps four.
     """
     upper = MultiModeState(1, cutoff, np.frombuffer(input_a1, dtype=np.complex128))
+    if not np.isfinite(upper.amplitudes).all():
+        raise ValueError("the Mach-Zehnder input amplitudes must be finite")
     first = beam_splitter(tensor(upper, coherent_state(alpha_a2, cutoff)), 0, 1)
     dim = cutoff.dim
     photons = np.arange(dim)

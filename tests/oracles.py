@@ -6,20 +6,30 @@ heralded gate's action as the closed-form cosine and sine of the gate
 angle, the splitter as an exact symbolic binomial expansion per sector, the
 sign-flip network as three separate passes over the whole state (on the
 package's sign-shift diagonal, which the tests hold to the closed form on
-its own), and the Mach-Zehnder as its splitter, phase and splitter run in
-turn at each theta, so each checks the production code through arithmetic
-it does not share.  The coherent splitting-law check lives here too: only
-the tests use it.
+its own), and the Mach-Zehnder both as its splitter, phase and splitter run
+in turn at each theta and as the closed form of a coherent reference, which
+runs no splitter, so each checks the production code through arithmetic it
+does not share.  The coherent splitting-law check and ``renormalize`` live
+here too: only the tests use them.
 """
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import expm
 
-from jcsim.fock import as_cutoff, coherent_state, renormalize, tensor
+from jcsim.fock import as_cutoff, coherent_state, tensor
 from jcsim.linear_optics import _sign_shift_diagonal, beam_splitter
+
+
+def renormalize(s):
+    """``s`` scaled to unit norm, direction and global phase kept."""
+    norm = math.sqrt(s.norm_squared())
+    if norm == 0.0:
+        raise ValueError("cannot renormalize the zero vector")
+    return s.with_amplitudes(s.amplitudes / norm)
 
 
 def dense_propagator(n_max, kappa_abs, kappa_phase, t):
@@ -78,6 +88,53 @@ def mach_zehnder_chain(input_a1, alpha, theta):
     phases = np.exp(1j * theta * np.arange(cutoff.dim))
     tens = first.as_tensor() * phases[:, None]
     return beam_splitter(first.with_amplitudes(tens.reshape(-1)), 0, 1)
+
+
+def _displacement_ladder(beta, dim):
+    """M[a, i] = beta^(a-i) sqrt(a!/i!) / (a-i)! for a >= i, 0 above the diagonal.
+
+    Built down each column by M[a+1, i] = M[a, i] beta sqrt(a+1) / (a+1-i),
+    so no factorial is formed.
+    """
+    ladder = np.zeros((dim, dim), dtype=complex)
+    ladder[0, 0] = 1.0
+    for a in range(dim - 1):
+        i = np.arange(a + 1)
+        ladder[a + 1, : a + 1] = ladder[a, : a + 1] * beta * math.sqrt(a + 1) / (a + 1 - i)
+        ladder[a + 1, a + 1] = 1.0
+    return ladder
+
+
+def mach_zehnder_closed_form(input_a1, alpha, theta):
+    """The Mach-Zehnder output from the closed form of its coherent reference.
+
+    With u, v = (e^{i theta} +- 1)/2 the interferometer maps a0† to
+    u a0† + v a1† and a1† to v a0† + u a1†, so |alpha> on mode 1 leaves as
+    |v alpha>|u alpha> and the input's |k> as (u a0† + v a1†)^k/sqrt(k!)
+    (Yurke, McCall & Klauder, PRA 33, 4033 (1986)).  On the kept pairs
+    a + b <= n_max the output is e^{-|alpha|^2/2} M(v alpha) P M(u alpha)^T,
+    with P[i, j] = c_{i+j} sqrt(C(i+j, i)) u^i v^j; M is lower-triangular,
+    so entry (a, b) reads only c_k with k <= a + b.  Returns the flat
+    two-mode amplitudes, 0 above n_max.
+    """
+    dim = input_a1.cutoff.dim
+    rot = np.exp(1j * theta)
+    u, v = (rot + 1) / 2, (rot - 1) / 2
+    n = np.arange(dim)
+    total = np.add.outer(n, n)
+    c = np.concatenate([input_a1.amplitudes, np.zeros(dim - 1)])  # c_k = 0 past n_max
+    coeffs = c[total] * _sqrt_binomials(dim) * np.outer(u**n, v**n)
+    out = math.exp(-abs(alpha) ** 2 / 2) * (
+        _displacement_ladder(v * alpha, dim) @ coeffs @ _displacement_ladder(u * alpha, dim).T
+    )
+    out[total > dim - 1] = 0
+    return out.reshape(-1)
+
+
+@lru_cache
+def _sqrt_binomials(dim):
+    """sqrt(C(i+j, i)) on the dim x dim grid, from exact integer binomials."""
+    return np.array([[math.sqrt(math.comb(i + j, i)) for j in range(dim)] for i in range(dim)])
 
 
 def multinomial_oracle(n, m, dim):

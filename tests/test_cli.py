@@ -14,10 +14,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import renormalize
 
 from jcsim import cli
 from jcsim.cli import _emit, _json_default, build_parser, main
-from jcsim.fock import coherent_state, renormalize
+from jcsim.fock import coherent_state
 from jcsim.interferometer import (
     _heralded_cavity,
     _theta_coefficients,

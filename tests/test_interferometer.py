@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import mach_zehnder_chain, pair_above_cutoff
+from oracles import mach_zehnder_chain, mach_zehnder_closed_form, pair_above_cutoff, renormalize
 from scipy import stats as scipy_stats
 
 from jcsim import interferometer
@@ -14,7 +14,6 @@ from jcsim.fock import (
     MultiModeState,
     coherent_state,
     number_state,
-    renormalize,
     tensor,
 )
 from jcsim.interferometer import (
@@ -202,8 +201,15 @@ def test_cat_reference_small_alpha_amplitudes():
 def test_cat_reference_exact_norm_flag():
     bare = cat_reference(0.5)
     unit = cat_reference(0.5, exact_norm=True)
-    assert bare.norm() < 1.0
-    assert unit.norm() == pytest.approx(1.0, abs=1e-12)
+    assert math.sqrt(bare.norm_squared()) < 1.0
+    assert math.sqrt(unit.norm_squared()) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_cat_reference_with_nothing_inside_the_cutoff_is_refused():
+    # at |alpha| = 39 both branch weights e^{-|alpha|^2/2} underflow to 0
+    assert not cat_reference(39, 12).amplitudes.any()
+    with pytest.raises(ValueError, match="cat reference at alpha 39 is 0 inside n_max 12"):
+        cat_reference(39, 12, exact_norm=True)
 
 
 @pytest.mark.parametrize("m", [1, 3])
@@ -256,7 +262,7 @@ def test_mach_zehnder_vacuum_reference_keeps_norm(seed, theta):
     rng = np.random.default_rng(seed)
     amps = rng.normal(size=6) + 1j * rng.normal(size=6)
     state_in = renormalize(MultiModeState(1, FockCutoff(5), amps))
-    assert abs(mach_zehnder(state_in, 0, theta).norm() - 1.0) < 1e-12
+    assert abs(math.sqrt(mach_zehnder(state_in, 0, theta).norm_squared()) - 1.0) < 1e-12
 
 
 def test_mach_zehnder_zero_phase_is_transparent():
@@ -287,6 +293,31 @@ def test_mach_zehnder_matches_the_per_theta_chain(n_max):
         for theta in CHAIN_THETAS:
             out = mach_zehnder(state, alpha, theta).amplitudes
             assert np.abs(out - mach_zehnder_chain(state, alpha, theta).amplitudes).max() <= 1e-15
+
+
+ORACLE_THETAS = np.linspace(-7, 7, 25)
+
+
+@pytest.mark.parametrize("n_max", [12, 16, 40, 110])
+def test_mach_zehnder_matches_the_splitter_free_closed_form(n_max):
+    for alpha in (0.5, 0.3 - 0.4j, 0.9):
+        for m in (0, 3):
+            state = cavity_ns_output(alpha, m, n_max).state
+            for theta in ORACLE_THETAS:
+                out = mach_zehnder(state, alpha, theta).amplitudes
+                assert np.abs(out - mach_zehnder_closed_form(state, alpha, theta)).max() <= 1e-15
+
+
+@pytest.mark.parametrize("n_max", [2, 5])
+def test_mach_zehnder_matches_the_closed_form_on_random_inputs(n_max):
+    rng = np.random.default_rng(n_max)
+    for _ in range(8):
+        amps = rng.normal(size=n_max + 1) + 1j * rng.normal(size=n_max + 1)
+        state = renormalize(MultiModeState(1, FockCutoff(n_max), amps))
+        alpha = complex(*rng.normal(scale=0.7, size=2))
+        for theta in ORACLE_THETAS:
+            out = mach_zehnder(state, alpha, theta).amplitudes
+            assert np.abs(out - mach_zehnder_closed_form(state, alpha, theta)).max() <= 1e-15
 
 
 def _by_sector(probs):
@@ -469,6 +500,15 @@ def test_non_finite_alpha_is_refused_and_stores_nothing(call):
     with pytest.raises(ValueError, match="alpha must be finite"):
         call()
     assert _theta_coefficients.cache_info().currsize == stored
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+def test_non_finite_input_is_refused_and_stores_nothing(value):
+    amps = cavity_ns_output(0.5, 3, 12).state.amplitudes.copy()
+    amps[2] = value
+    with pytest.raises(ValueError, match="input amplitudes must be finite"):
+        mach_zehnder(MultiModeState(1, FockCutoff(12), amps), 0.5, 1.0)
+    assert _theta_coefficients.cache_info().currsize == 0
 
 
 # -- detector statistics ----------------------------------------------------------------

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import cm_dm_closed_form, dense_propagator, ns_diagonal_closed_form
+from oracles import cm_dm_closed_form, dense_propagator, ns_diagonal_closed_form, renormalize
 
 from jcsim import jcm
-from jcsim.fock import FockCutoff, MultiModeState, number_state, renormalize
+from jcsim.fock import FockCutoff, MultiModeState, number_state
 from jcsim.jcm import (
     AtomFieldState,
     cm_dm,

@@ -192,25 +192,22 @@ def number_state(ns: Sequence[int], cutoff: int | FockCutoff) -> MultiModeState:
 def coherent_state(alpha: complex, cutoff: int | FockCutoff) -> MultiModeState:
     """Single-mode coherent state, truncated at n_max and not renormalized.
 
-    Amplitudes are exp(-|alpha|^2/2) alpha^n / sqrt(n!) for n <= n_max, so
-    ``norm_squared`` reports 1 minus the truncated Poisson tail; a caller
+    Amplitudes are a_n = exp(-|alpha|^2/2) alpha^n / sqrt(n!) for n <= n_max,
+    so ``norm_squared`` reports 1 minus the truncated Poisson tail; a caller
     that needs the mass whole checks it there, as ``cavity_ns_output`` does.
-    A NaN or infinite alpha is refused.
+    A NaN or infinite alpha is refused.  The amplitudes are one running
+    product, a_n = a_{n-1} alpha / sqrt(n), no partial product above 1.  Their
+    relative error is about 5e-15 up to n_max 400, plus |alpha|^2 * 1e-16 from
+    rounding |alpha|^2 in a_0, which is subnormal past |alpha| = 37.6 and 0
+    past 38.6.
     """
     cutoff = as_cutoff(cutoff)
     alpha = complex(alpha)
     if not cmath.isfinite(alpha):
         raise ValueError(f"alpha must be finite, got {alpha}")
-    try:
-        weight = np.exp(-abs(alpha) ** 2 / 2)
-    except OverflowError:  # |alpha| or its square beyond the float range
-        weight = 0.0
-    if weight == 0.0:  # past |alpha| = 38.6; alpha**n may overflow, and 0 * inf is NaN
-        return MultiModeState(1, cutoff, np.zeros(cutoff.dim))
-    # sqrt(n!) as exp(0.5 * sum(log k)), so no factorial overflows
-    log_fact = np.cumsum(np.concatenate([[0.0], np.log(np.arange(1, cutoff.dim))]))
-    amps = weight * alpha ** np.arange(cutoff.dim) / np.exp(0.5 * log_fact)
-    return MultiModeState(1, cutoff, amps)
+    s = math.hypot(alpha.real, alpha.imag)  # s * s past the float range is inf, a_0 then 0
+    steps = alpha / np.sqrt(np.arange(1, cutoff.dim))
+    return MultiModeState(1, cutoff, np.cumprod(np.concatenate([[np.exp(-s * s / 2)], steps])))
 
 
 # -- operations -----------------------------------------------------------

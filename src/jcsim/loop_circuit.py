@@ -154,8 +154,10 @@ class LoopTimingReport:
 def _scientific(log10_value: float) -> str:
     """A power of ten given by its log10, as mantissa e exponent."""
     exponent = math.floor(log10_value)
-    mantissa = 10.0 ** (log10_value - exponent)
-    return f"{mantissa:.4f}e{exponent:+d}"
+    mantissa = f"{10.0 ** (log10_value - exponent):.4f}"
+    if mantissa == "10.0000":  # rounding carried into the next power of ten
+        mantissa, exponent = "1.0000", exponent + 1
+    return f"{mantissa}e{exponent:+d}"
 
 
 def timing_report(

@@ -9,14 +9,17 @@ package's sign-shift diagonal, which the tests hold to the closed form on
 its own), and the Mach-Zehnder both as its splitter, phase and splitter run
 in turn at each theta and as the closed form of a coherent reference, which
 runs no splitter, so each checks the production code through arithmetic it
-does not share.  The coherent splitting-law check and ``renormalize`` live
-here too: only the tests use them.
+does not share.  Coherent amplitudes are evaluated in 50-digit ``mpmath``
+from the power and factorial the package's running product avoids.  The
+coherent splitting-law check and ``renormalize`` live here too: only the
+tests use them.
 """
 
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+import mpmath
 import numpy as np
 from scipy.linalg import expm
 
@@ -30,6 +33,14 @@ def renormalize(s):
     if norm == 0.0:
         raise ValueError("cannot renormalize the zero vector")
     return s.with_amplitudes(s.amplitudes / norm)
+
+
+def coherent_amplitudes_mp(alpha, n_max):
+    """exp(-|alpha|^2/2) alpha^n / sqrt(n!) for n <= n_max, as 50-digit ``mpc`` values."""
+    with mpmath.workdps(50):
+        a = mpmath.mpc(complex(alpha))
+        weight = mpmath.exp(-abs(a) ** 2 / 2)
+        return [+(weight * a**n / mpmath.sqrt(mpmath.factorial(n))) for n in range(n_max + 1)]
 
 
 def dense_propagator(n_max, kappa_abs, kappa_phase, t):

@@ -126,6 +126,11 @@ def test_config_echoes_every_parsed_flag(argv, tmp_path, capsys):
     assert given - {"format"} <= config.keys()
 
 
+def test_json_default_refuses_a_type_it_does_not_know():
+    with pytest.raises(TypeError, match="set is not JSON serializable"):
+        json.dumps({"rows": {1, 2}}, default=_json_default)
+
+
 def test_out_to_directory_is_runtime_error(tmp_path, capsys):
     code, out, err = run_cli(["table1", "--out", str(tmp_path)], capsys)
     assert code == 1

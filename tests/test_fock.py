@@ -3,11 +3,12 @@ import math
 import re
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import renormalize
+from oracles import coherent_amplitudes_mp, renormalize
 from scipy import stats as scipy_stats
 
 from jcsim.fock import (
@@ -107,9 +108,10 @@ def test_numpy_integers_pass_as_cutoff_and_occupation():
     "build, message",
     [
         (lambda: MultiModeState(5, FockCutoff(2), np.zeros(9)), "mode_count 5 needs more than"),
+        (lambda: MultiModeState(0, FockCutoff(2), np.ones(1)), "mode_count must be >= 1, got 0"),
         (lambda: number_state([0, 0], 2).amplitude([0]), "expected 2 occupation numbers"),
     ],
-    ids=["mode-count", "occupation-count"],
+    ids=["mode-count", "no-modes", "occupation-count"],
 )
 def test_shape_mismatch_is_refused(build, message):
     with pytest.raises(ValueError, match=message):
@@ -133,16 +135,29 @@ def test_coherent_truncation_deficit_negligible_at_half():
     assert abs(coherent_state(0.5, 12).norm_squared() - 1.0) < 1e-12
 
 
-@pytest.mark.parametrize("alpha", [0.0, 0.5, -0.3 + 0.8j, 1.9j, 38.0, -38j])
-@pytest.mark.parametrize("n_max", [2, 12, 30])
-def test_coherent_amplitudes_match_uncached_expression_bitwise(alpha, n_max):
-    # The same arithmetic, term for term, so the amplitudes agree bitwise.
-    alpha = complex(alpha)
-    n = np.arange(n_max + 1)
-    log_fact = np.cumsum(np.concatenate([[0.0], np.log(np.arange(1, n_max + 1))]))
-    expected = np.exp(-abs(alpha) ** 2 / 2) * alpha**n / np.exp(0.5 * log_fact)
-    for _ in range(2):
-        assert coherent_state(alpha, n_max).amplitudes.tobytes() == expected.tobytes()
+@pytest.mark.parametrize("alpha", [0, 0.5, -0.5, 0.3 + 0.2j, 0.9, 3, 10, 5 - 5j, 20, 30])
+@pytest.mark.parametrize("n_max", [2, 12, 40, 110, 400])
+def test_coherent_amplitudes_match_50_digit_arithmetic(alpha, n_max):
+    # every amplitude the float range holds with full precision, to 1e-14 relative
+    amps = coherent_state(alpha, n_max).amplitudes
+    assert coherent_state(alpha, n_max).amplitudes.tobytes() == amps.tobytes()
+    for n, (got, want) in enumerate(zip(amps, coherent_amplitudes_mp(alpha, n_max))):
+        if abs(want) > 1e-290:
+            assert abs(mpmath.mpc(got) - want) <= 1e-14 * abs(want), (n, got, want)
+
+
+@pytest.mark.parametrize("alpha, n_max", [(10, 400), (5, 600), (38.5, 200)])
+def test_coherent_state_at_large_n_max_is_finite(alpha, n_max):
+    # the terms alpha**n alone overflow here; the amplitudes themselves are below 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        amps = coherent_state(alpha, n_max).amplitudes
+    assert np.isfinite(amps).all()
+    if abs(alpha) < 37.6:  # e^{-|alpha|^2/2} is a normal float, so no bits are lost
+        want = coherent_amplitudes_mp(alpha, n_max)
+        assert all(
+            abs(mpmath.mpc(z) - w) <= 1e-14 * abs(w) for z, w in zip(amps, want) if abs(w) > 1e-290
+        )
 
 
 @pytest.mark.parametrize("alpha", [1e30, 1e200, 1e308 + 1e308j])

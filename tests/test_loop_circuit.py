@@ -10,6 +10,7 @@ from jcsim.loop_circuit import (
     LoopSchedule,
     _pbs,
     _pockels,
+    _scientific,
     canonical_schedule,
     run_loop_protocol,
     timing_report,
@@ -158,6 +159,20 @@ def test_loss_budget_is_catastrophic_but_not_rounded_away():
     assert report.survival_m1_scientific.endswith("e-221147")
     mantissa = float(report.survival_m1_scientific.split("e")[0])
     assert 1.0 <= mantissa < 10.0
+
+
+@pytest.mark.parametrize(
+    "log10_value, text",
+    [(-1e-6, "1.0000e+0"), (5.9999999, "1.0000e+6"), (0.0, "1.0000e+0"), (-0.5, "3.1623e-1")],
+)
+def test_scientific_mantissa_rounding_to_ten_carries_into_the_exponent(log10_value, text):
+    assert _scientific(log10_value) == text
+
+
+def test_nearly_lossless_loop_reports_one_not_ten():
+    # a log10 survival of about -1e-6 rounds its mantissa up to 10.0000
+    report = timing_report(WAVELENGTH, KAPPA, loss_pc=1e-13, loss_pbs=0.0)
+    assert report.survival_m1_scientific == report.survival_m3_scientific == "1.0000e+0"
 
 
 def test_lossless_loop_survives():

@@ -23,6 +23,7 @@ import json
 import math
 import sys
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
 
 from . import __version__
@@ -253,55 +254,50 @@ def build_parser() -> argparse.ArgumentParser:
         prog="jcsim", description="Cavity sign-shift gate simulator"
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # every command takes --out; the table commands take --format as well
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out")
+    table = argparse.ArgumentParser(add_help=False, parents=[out])
+    table.add_argument("--format", choices=["csv", "json"], default="csv")
+    command = partial(sub.add_parser, parents=[out])
 
-    p = sub.add_parser("table1", help="error probability and |1>-coefficient table")
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.add_argument("--out")
+    command("table1", parents=[table], help="error probability and |1>-coefficient table")
 
-    p = sub.add_parser("ns-gate", help="run the heralded gate on a serialized state")
+    p = command("ns-gate", help="run the heralded gate on a serialized state")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--input", required=True, help="path to a state JSON file")
-    p.add_argument("--phase", action="store_true", help="apply the (-1)^n compensator")
-    p.add_argument("--out")
+    p.add_argument("--phase", action="store_true", help="correct the |1> sign: (-1)^n if d(m) < 0")
 
-    p = sub.add_parser("csf-verify", help="truth table of the conditional sign flip")
+    p = command("csf-verify", help="truth table of the conditional sign flip")
     p.add_argument("--jcm-m", type=int, default=None, help="use the heralded gate at this m")
-    p.add_argument("--out")
 
-    p = sub.add_parser("mach-zehnder", help="interferometer run with detection statistics")
+    p = command("mach-zehnder", help="interferometer run with detection statistics")
     p.add_argument("--alpha", type=complex, required=True)
     p.add_argument("--theta", type=float, required=True)
     p.add_argument("--m", type=int, default=3)
     p.add_argument("--shots", type=int, default=0)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--n-max", type=_n_max, default=12)
-    p.add_argument("--out")
 
-    p = sub.add_parser("fig3-sweep", help="CSV sweep of |F1|, |F2| over theta")
+    p = command("fig3-sweep", parents=[table], help="CSV sweep of |F1|, |F2| over theta")
     p.add_argument("--steps", type=int, default=256)
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.add_argument("--out")
 
-    p = sub.add_parser("fig4-pmf", help="Poisson counting probabilities for two means")
+    p = command("fig4-pmf", parents=[table], help="Poisson counting probabilities for two means")
     p.add_argument("--mu1", type=float, default=0.4665)
     p.add_argument("--mu2", type=float, default=0.03349)
     p.add_argument("--max-n", type=int, default=2)
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.add_argument("--out")
 
-    p = sub.add_parser("loop-timing", help="loop cavity switching/loss feasibility")
+    p = command("loop-timing", help="loop cavity switching/loss feasibility")
     p.add_argument("--wavelength", type=float, required=True)
     p.add_argument("--kappa", type=float, required=True)
     p.add_argument("--loss-pc", type=float, default=0.04)
     p.add_argument("--loss-pbs", type=float, default=0.01)
     p.add_argument("--pc-response", type=float, default=PC_RESPONSE)
-    p.add_argument("--out")
 
-    p = sub.add_parser("loop-protocol", help="execute a three-phase loop schedule")
+    p = command("loop-protocol", help="execute a three-phase loop schedule")
     p.add_argument("--schedule", default=None, help="JSON file or inline JSON phase list")
     p.add_argument("--kappa", type=float, default=None)
     p.add_argument("--m", type=int, default=None)
-    p.add_argument("--out")
 
     return parser
 

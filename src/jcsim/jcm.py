@@ -28,8 +28,9 @@ is scaled by d(m) = cos((2m+1) pi / sqrt(2)); the run fails (atom found in
 weight.  Because U(t_m) is block diagonal, one propagation of
 |g> (x) sum_n |n> holds the whole post-selected diagonal in its ground
 block, and c(m), d(m) in its one-excitation block; every quantity of the
-gate is read from that one propagation.  For negative d(m) (e.g. the m=3
-route) a lossless (-1)^n phase shifter restores the |1> sign.
+gate is read from that one propagation.  :func:`_sign_shift_diagonal` adds
+a lossless (-1)^n phase shifter, restoring the |1> sign, exactly when d(m) < 0
+(as at m = 0, 3), for ``ns_gate`` and the sign-flip network alike.
 """
 
 from __future__ import annotations
@@ -145,26 +146,53 @@ class NSGateResult:
     success_probability: float
 
 
+def _sign_shift_diagonal(ns_mode: str, m: int, cutoff: FockCutoff) -> np.ndarray:
+    """The sign-shift gate's post-selected action s[n] on photon number n = 0..n_max.
+
+    ``"ideal"`` is (1, 1, -1, 1, ...).  ``"jcm"`` is the heralded cavity's
+    diagonal <g,n| U(t_m) |g,n>, times the (-1)^n compensator when
+    d(m) = s[1] < 0; it is real, as the propagator runs at coupling phase 0.
+    The network folds s into its real blocks, so a diagonal with a nonzero
+    imaginary part is refused, not truncated.  Any other ``ns_mode`` is
+    refused too.
+    """
+    if ns_mode == "ideal":
+        diag = np.ones(cutoff.dim)
+        diag[2] = -1.0
+        return diag
+    if ns_mode != "jcm":
+        raise ValueError(f"ns_mode must be 'ideal' or 'jcm', got {ns_mode!r}")
+    heralded = ns_post_selected_diagonal(m, cutoff)
+    if np.any(heralded.imag):
+        raise ValueError("the sign-shift diagonal is complex; the network folds only a real one")
+    diag = heralded.real
+    if diag[1] < 0:  # d(m) < 0
+        diag = diag * (-1.0) ** np.arange(cutoff.dim)
+    return diag
+
+
 def ns_gate(
     input_state: MultiModeState, m: int, apply_compensating_phase: bool = False
 ) -> NSGateResult:
     """Run the atom-field protocol and post-select the atom in |g>.
 
-    Scales the input by the post-selected diagonal of U(t_m), renormalizes,
-    and optionally applies the (-1)^n compensator.  The success probability
-    is the squared norm of the unnormalized projection.
+    Scales the input by the post-selected diagonal of U(t_m), sign-corrected
+    by :func:`_sign_shift_diagonal` if asked, and renormalizes.  The success
+    probability is the squared norm of the unnormalized projection.
     """
     if input_state.mode_count != 1:
         raise ValueError("the gate acts on a single-mode state")
     if not input_state.is_normalized:
         raise ValueError("input state must be normalized")
-    surviving = input_state.amplitudes * ns_post_selected_diagonal(m, input_state.cutoff)
+    if apply_compensating_phase:
+        diag = _sign_shift_diagonal("jcm", m, input_state.cutoff)
+    else:
+        diag = ns_post_selected_diagonal(m, input_state.cutoff)
+    surviving = input_state.amplitudes * diag
     success_probability = float(np.vdot(surviving, surviving).real)
     if success_probability == 0.0:
         raise ValueError("atom is never found in |g>; nothing to post-select")
     amps = surviving / math.sqrt(success_probability)
-    if apply_compensating_phase:
-        amps = amps * (-1.0) ** np.arange(input_state.cutoff.dim)
     return NSGateResult(input_state.with_amplitudes(amps), success_probability)
 
 

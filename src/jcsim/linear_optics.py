@@ -175,31 +175,6 @@ def logical_basis_state(j: int, k: int, cutoff: int | FockCutoff) -> MultiModeSt
     return number_state(_RAILS[j] + _RAILS[k], cutoff)
 
 
-def _sign_shift_diagonal(ns_mode: str, m: int, cutoff: FockCutoff) -> np.ndarray:
-    """The sign-shift gate's post-selected action s[n] on photon number n = 0..n_max.
-
-    ``"ideal"`` is (1, 1, -1, 1, ...).  ``"jcm"`` is the heralded cavity's
-    diagonal <g,n| U(t_m) |g,n>, times the (-1)^n compensator when
-    d(m) = s[1] < 0; it is real, as the propagator runs at coupling phase 0.
-    The network folds s into its real blocks, so a diagonal with a nonzero
-    imaginary part is refused, not truncated.  Any other ``ns_mode`` is
-    refused too.
-    """
-    if ns_mode == "ideal":
-        diag = np.ones(cutoff.dim)
-        diag[2] = -1.0
-        return diag
-    if ns_mode != "jcm":
-        raise ValueError(f"ns_mode must be 'ideal' or 'jcm', got {ns_mode!r}")
-    heralded = jcm.ns_post_selected_diagonal(m, cutoff)
-    if np.any(heralded.imag):
-        raise ValueError("the sign-shift diagonal is complex; the network folds only a real one")
-    diag = heralded.real
-    if diag[1] < 0:  # d(m) < 0
-        diag = diag * (-1.0) ** np.arange(cutoff.dim)
-    return diag
-
-
 def csf_gate(
     s: MultiModeState, ns_mode: str = "ideal", m: int = 3
 ) -> tuple[MultiModeState, float]:
@@ -207,14 +182,14 @@ def csf_gate(
 
     Splitter on (x1, y1), a sign-shift gate on each of x1 and y1, then the
     same splitter again (it is its own inverse).  ``ns_mode`` selects, through
-    :func:`_sign_shift_diagonal`, the exact gate (``"ideal"``) or the
+    :func:`jcm._sign_shift_diagonal`, the exact gate (``"ideal"``) or the
     atom-heralded realization (``"jcm"``) at integer index ``m`` >= 0; in
     the latter case both atoms must be found in |g> and the returned
     probability is the compound herald probability.  Input mass
     with n_x1 + n_y1 > n_max lies outside the model: the first splitter cuts
     it, so the probability is at most 1 minus that mass, and equal to it for
-    the ideal gate.  The heralded gate includes the compensating (-1)^n phase
-    shifter whenever d(m) < 0, so the logical signs hold at every m.
+    the ideal gate.  The heralded gate is ``jcm.ns_gate`` with its compensator,
+    the (-1)^n shifter whenever d(m) < 0, so the logical signs hold at every m.
 
     The network runs as one pass over the (x1, y1) pair: its kept sectors
     are gathered once into the splitter's folded rows and mixed by blocks
@@ -230,7 +205,7 @@ def csf_gate(
         raise ValueError("the network acts on four modes (x1, x2, y1, y2)")
     if not s.is_normalized:
         raise ValueError("input state must be normalized")
-    diag = _sign_shift_diagonal(ns_mode, m, s.cutoff)
+    diag = jcm._sign_shift_diagonal(ns_mode, m, s.cutoff)
     blocks, p, q = _splitter_blocks(s.cutoff.dim)
     rows = _gather(s, _CSF_AXES, p, q)
     mixed = (blocks * (diag[p] * diag[q])[:, :, None]) @ rows

@@ -41,6 +41,11 @@ RUNS = {
     "loop-protocol": ["loop-protocol", "--kappa", "14285.714", "--m", "1"],
 }
 RUNS.update({f"csf-verify jcm-m={m}": ["csf-verify", "--jcm-m", str(m)] for m in range(5)})
+for _m in range(5):
+    _argv = ["ns-gate", "--m", str(_m), "--input", "{state}"]
+    RUNS[f"ns-gate m={_m}"] = _argv
+    if _m != 3:  # "ns-gate" is m 3 with --phase
+        RUNS[f"ns-gate m={_m} phase"] = _argv + ["--phase"]
 for _alpha in ("0.5", "0.3+0.2j", "0.9"):
     for _n_max in ("12", "40", "110"):
         _argv = ["mach-zehnder", "--theta", "1", "--m", "3", "--alpha", _alpha, "--n-max", _n_max]

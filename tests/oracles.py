@@ -24,7 +24,8 @@ import numpy as np
 from scipy.linalg import expm
 
 from jcsim.fock import as_cutoff, coherent_state, tensor
-from jcsim.linear_optics import _sign_shift_diagonal, beam_splitter
+from jcsim.jcm import _sign_shift_diagonal
+from jcsim.linear_optics import beam_splitter
 
 
 def renormalize(s):

@@ -295,8 +295,39 @@ def test_ns_gate_matches_post_selected_diagonal():
             assert result.success_probability == pytest.approx(
                 np.vdot(projected, projected).real, abs=1e-12
             )
-            projected *= (-1.0) ** np.arange(n_max + 1) / np.linalg.norm(projected)
+            projected /= np.linalg.norm(projected)
+            if cm_dm_closed_form(m)[1] < 0:  # the compensator acts only when d(m) < 0
+                projected *= (-1.0) ** np.arange(n_max + 1)
             assert np.abs(result.output.amplitudes - projected).max() < 1e-12
+
+
+@pytest.mark.parametrize("n_max", [2, 12, 30])
+@pytest.mark.parametrize("m", range(5))
+def test_ns_gate_compensator_is_the_sign_shift_resolver(m, n_max):
+    # the gate with its compensator scales by the network's sign-shift
+    # diagonal, so at d(m) > 0 it is the heralded gate itself, bit for bit
+    rng = np.random.default_rng(1000 * m + n_max)
+    amps = rng.normal(size=n_max + 1) + 1j * rng.normal(size=n_max + 1)
+    s = MultiModeState(1, FockCutoff(n_max), amps / np.linalg.norm(amps))
+    surviving = s.amplitudes * jcm._sign_shift_diagonal("jcm", m, s.cutoff)
+    expected = surviving / math.sqrt(np.vdot(surviving, surviving).real)
+    corrected = ns_gate(s, m, apply_compensating_phase=True).output.amplitudes
+    assert corrected.tobytes() == expected.tobytes()
+    heralded = ns_gate(s, m, apply_compensating_phase=False).output.amplitudes
+    if cm_dm(m)[1] > 0:
+        assert corrected.tobytes() == heralded.tobytes()
+    else:
+        assert corrected.tobytes() != heralded.tobytes()
+
+
+@pytest.mark.parametrize("compensate", [False, True])
+def test_ns_gate_refuses_a_zero_herald(compensate, monkeypatch):
+    # a diagonal that kills every photon number leaves nothing to renormalize
+    monkeypatch.setattr(
+        jcm, "ns_post_selected_diagonal", lambda m, cutoff: np.zeros(cutoff.dim, complex)
+    )
+    with pytest.raises(ValueError, match=r"atom is never found in \|g>"):
+        ns_gate(uniform_superposition(), m=3, apply_compensating_phase=compensate)
 
 
 def test_ns_gate_propagates_once(monkeypatch):

@@ -23,10 +23,9 @@ from jcsim.fock import (
     number_state,
     tensor,
 )
-from jcsim.jcm import cm_dm
+from jcsim.jcm import _sign_shift_diagonal, cm_dm
 from jcsim.linear_optics import (
     _sector_blocks,
-    _sign_shift_diagonal,
     _splitter_blocks,
     beam_splitter,
     csf_gate,

@@ -27,19 +27,22 @@ is even the lone middle sector n_max / 2 leaves padding at the tail of the
 last row, and pad slots meet zero rows and columns.  One batched matmul over
 the rows rotates every kept sector; the first dim (dim + 1) / 2 slots, read
 flat, are the kept pairs, each once.  The blocks are cached per dim together
-with the (p, q) indices that gather each row.  A pass gathers the kept pairs
-into a real (row, slot, rest) stack, multiplies, and scatters the kept slots
-into a fresh zeroed state, whose zeros are the amplitudes above n_max.
+with the (p, q) indices that gather each row and a view of each sector's
+block.  A splitter pass gathers the kept pairs into a real (row, slot, rest)
+stack, multiplies, and scatters the kept slots into a fresh zeroed state,
+whose zeros are the amplitudes above n_max.
 
 A dual-rail qubit stores one photon across a pair of paths:
 |0bar> = |0>|1> and |1bar> = |1>|0>.  The conditional sign-flip network
 mixes the two "1" rails on a 50:50 splitter, applies a sign-shift gate to
 each, and unmixes with the same splitter, negating exactly the
 |1bar>|1bar> amplitude.  All three steps act on the (x1, y1) pair alone and
-conserve its photon number, so the network is one pass: one gather, the
-first splitter with the sign shifts folded into its blocks as a factor per
-(row, slot), the herald probability, the second splitter with the 1/sqrt
-scaling folded into its blocks, and one scatter into a fresh state.
+conserve its photon number, so the network multiplies each sector where it
+lies in the state, with no gather and no scatter: the first splitter, with
+the sign shifts as a factor per output row of each block, writes every
+sector into one compact buffer of the kept pairs; its squared norm is the
+herald probability; the second splitter, scaled by 1/sqrt of it, writes
+each sector from that buffer into a fresh zeroed state.
 """
 
 from __future__ import annotations
@@ -83,34 +86,40 @@ def _sector_blocks(max_total: int) -> Iterator[np.ndarray]:
 
 
 @lru_cache(maxsize=4)
-def _splitter_blocks(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Folded splitter blocks and the gather indices (p, q) of their slots.
+def _splitter_blocks(
+    dim: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
+    """Folded splitter blocks, the gather indices (p, q) of their slots, and each sector's block.
 
     ``blocks[r, out, in]`` acts on row r, the amplitudes |p[r, s], q[r, s]>
     over slots s = 0..dim.  Sector N <= n_max / 2 sits in row N from slot 0,
     sector N > n_max / 2 in row n_max - N from slot n_max - N + 1, each with
     its exact block.  Pad slots, the tail of the last row when n_max is even,
-    gather |0, 0> and meet zero rows and columns.  All three arrays are
-    read-only.
+    gather |0, 0> and meet zero rows and columns.  ``sectors[N]`` is sector
+    N's block where the fold put it, a view into ``blocks``, acting on
+    |p, N - p>, p = 0..N.  Every array is read-only.
 
-    The blocks take about 4 dim^3 bytes.  No caller uses more than three
-    dimensions, and the cache keeps four: at the CLI's largest admitted
-    n_max, 110, that is at most 4 x 5.6 MB, about 22 MB.
+    The blocks take about 4 dim^3 bytes; the sector views add none.  No
+    caller uses more than three dimensions, and the cache keeps four: at the
+    CLI's largest admitted n_max, 110, that is at most 4 x 5.6 MB, about
+    22 MB.
     """
     n_max = dim - 1
     row_count = (dim + 1) // 2
     blocks = np.zeros((row_count, dim + 1, dim + 1))
     p = np.zeros((row_count, dim + 1), dtype=np.intp)
     q = np.zeros((row_count, dim + 1), dtype=np.intp)
+    sectors = []
     for total, block in enumerate(_sector_blocks(n_max)):
         row, start = (total, 0) if 2 * total <= n_max else (n_max - total, dim - total)
         kept = slice(start, start + total + 1)
-        blocks[row, kept, kept] = block
+        sectors.append(blocks[row, kept, kept])
+        sectors[-1][...] = block
         p[row, kept] = np.arange(total + 1)
         q[row, kept] = total - p[row, kept]
-    for array in (blocks, p, q):
+    for array in (blocks, p, q, *sectors):
         array.setflags(write=False)
-    return blocks, p, q
+    return blocks, p, q, tuple(sectors)
 
 
 def _pair_axes(mode_count: int, mode_i: int, mode_j: int) -> tuple[int, ...]:
@@ -154,7 +163,7 @@ def beam_splitter(s: MultiModeState, mode_i: int, mode_j: int) -> MultiModeState
             raise ValueError(f"mode {mode} outside [0, {s.mode_count - 1}]")
     if mode_i == mode_j:
         raise ValueError("beam splitter needs two distinct modes")
-    blocks, p, q = _splitter_blocks(s.cutoff.dim)
+    blocks, p, q, _ = _splitter_blocks(s.cutoff.dim)
     axes = _pair_axes(s.mode_count, mode_i, mode_j)
     return _scatter(s, axes, p, q, blocks @ _gather(s, axes, p, q))
 
@@ -164,15 +173,31 @@ def beam_splitter(s: MultiModeState, mode_i: int, mode_j: int) -> MultiModeState
 #: Rail occupations of logical bit b: |0bar> = |0>|1>, |1bar> = |1>|0>.
 _RAILS = ((0, 1), (1, 0))
 
-# The pair (x1, y1) of the two-qubit register (x1, x2, y1, y2) first, then x2, y2.
-_CSF_AXES = _pair_axes(4, 0, 2)
-
 
 def logical_basis_state(j: int, k: int, cutoff: int | FockCutoff) -> MultiModeState:
     """|jbar>|kbar> on the four-mode register (x1, x2, y1, y2)."""
     if j not in (0, 1) or k not in (0, 1):
         raise ValueError("logical labels must be 0 or 1")
     return number_state(_RAILS[j] + _RAILS[k], cutoff)
+
+
+def _sector_view(amplitudes: np.ndarray, dim: int, total: int) -> np.ndarray:
+    """Sector N = ``total`` of a four-mode register's (x1, y1) pair, as a view.
+
+    A float64 view of the flat ``amplitudes``, indexed (x2, p, y2 re/im):
+    element [x2, p, 2 y2 + c] is the real (c = 0) or imaginary (c = 1) part
+    of |p, x2, N - p, y2>.  Raising p moves x1 up and y1 down, a step of
+    dim^3 - dim amplitudes, so each [x2] core is an (N + 1) x 2 dim matrix
+    with unit inner stride that BLAS reads and writes in place.  The buffer
+    checks the view's bounds.
+    """
+    return np.ndarray(
+        (dim, total + 1, 2 * dim),
+        np.float64,
+        amplitudes,
+        16 * total * dim,
+        (16 * dim**2, 16 * (dim**3 - dim), 8),
+    )
 
 
 def csf_gate(
@@ -191,30 +216,39 @@ def csf_gate(
     the ideal gate.  The heralded gate is ``jcm.ns_gate`` with its compensator,
     the (-1)^n shifter whenever d(m) < 0, so the logical signs hold at every m.
 
-    The network runs as one pass over the (x1, y1) pair: its kept sectors
-    are gathered once into the splitter's folded rows and mixed by blocks
-    whose output slots carry the two sign-shift diagonals (slot s of row r
-    holds |p[r, s], q[r, s]>), so the sign shifts cost no pass over the
-    state.  The squared norm of the mixed rows is the herald probability.
-    The second splitter runs with its blocks scaled by 1/sqrt of that
-    probability, into the gathered buffer, the mixed buffer is freed, and
-    the rows are scattered once into a fresh state.  Each row stack is about
-    half a state, so a call peaks near 1.5 state-sized buffers.
+    The network multiplies each sector N of the (x1, y1) pair where it lies
+    (see :func:`_sector_view`).  The first splitter's blocks, their output
+    rows scaled by the two sign-shift diagonals, write every sector into its
+    slice of one compact buffer of the kept pairs, about half a state, so the
+    sign shifts cost no pass over the state.  The squared norm of that buffer
+    is the herald probability.  The second splitter, its blocks scaled by
+    1/sqrt of that probability, writes each slice into the same sector of a
+    fresh zeroed state, whose zeros are the pairs above n_max.  A call peaks
+    near 1.5 state-sized buffers.
     """
     if s.mode_count != 4:
         raise ValueError("the network acts on four modes (x1, x2, y1, y2)")
     if not s.is_normalized:
         raise ValueError("input state must be normalized")
     diag = jcm._sign_shift_diagonal(ns_mode, m, s.cutoff)
-    blocks, p, q = _splitter_blocks(s.cutoff.dim)
-    rows = _gather(s, _CSF_AXES, p, q)
-    mixed = (blocks * (diag[p] * diag[q])[:, :, None]) @ rows
+    dim = s.cutoff.dim
+    *_, sectors = _splitter_blocks(dim)
+    mixed = np.empty(dim**3 * (dim + 1))
+    parts = []
+    for total, block in enumerate(sectors):
+        start = dim**2 * total * (total + 1)  # 2 dim^2 (0 + 1 + ... + total)
+        part = mixed[start : start + 2 * dim**2 * (total + 1)].reshape(dim, total + 1, 2 * dim)
+        shift = diag[: total + 1] * diag[total::-1]  # s[p] s[N - p]
+        np.matmul(block * shift[:, None], _sector_view(s.amplitudes, dim, total), out=part)
+        parts.append(part)
     success_probability = float(np.vdot(mixed, mixed))
     if success_probability == 0.0:
         raise ValueError("nothing survives the cutoff and the sign-shift heralds")
-    np.matmul(blocks / math.sqrt(success_probability), mixed, out=rows)
-    del mixed
-    return _scatter(s, _CSF_AXES, p, q, rows), success_probability
+    root = math.sqrt(success_probability)
+    out = np.zeros(dim**4, dtype=np.complex128)
+    for total, (block, part) in enumerate(zip(sectors, parts)):
+        np.matmul(block / root, part, out=_sector_view(out, dim, total))
+    return s.with_amplitudes(out), success_probability
 
 
 def csf_truth_table(ns_mode: str = "ideal", m: int = 3) -> list[dict]:

@@ -26,6 +26,7 @@ from jcsim.fock import (
 from jcsim.jcm import _sign_shift_diagonal, cm_dm
 from jcsim.linear_optics import (
     _sector_blocks,
+    _sector_view,
     _splitter_blocks,
     beam_splitter,
     csf_gate,
@@ -147,9 +148,10 @@ def test_splitter_keeps_the_pair_sectors_up_to_n_max_and_cuts_the_rest(n_max, se
 @pytest.mark.parametrize("n_max", [2, 3, 12, 13])
 def test_folded_rows_hold_each_kept_sector_once_with_its_exact_block(n_max):
     # read flat, the first dim (dim + 1) / 2 slots are the pairs p + q <= n_max,
-    # each once, and a block couples two slots only within one sector
+    # each once, and a block couples two slots only within one sector; the
+    # sector views are those blocks, read where the fold put them
     dim = n_max + 1
-    blocks, p, q = _splitter_blocks(dim)
+    blocks, p, q, sectors = _splitter_blocks(dim)
     assert blocks.shape == ((dim + 1) // 2, dim + 1, dim + 1)
     kept = dim * (dim + 1) // 2
     pairs = sorted(zip(p.reshape(-1)[:kept].tolist(), q.reshape(-1)[:kept].tolist()))
@@ -159,6 +161,8 @@ def test_folded_rows_hold_each_kept_sector_once_with_its_exact_block(n_max):
         assert (row == row[0]).all()
         assert (p[row[0], slots] == np.arange(total + 1)).all()
         assert blocks[row[0]][np.ix_(slots, slots)].tobytes() == block.tobytes()
+        assert sectors[total].tobytes() == block.tobytes()
+        assert np.shares_memory(sectors[total], blocks)
         others = np.setdiff1d(np.arange(dim + 1), slots)
         assert not blocks[row[0]][np.ix_(slots, others)].any()
         assert not blocks[row[0]][np.ix_(others, slots)].any()
@@ -169,7 +173,7 @@ def test_pad_slots_sit_at_the_flat_tail_with_zero_rows_and_columns(n_max):
     # only an even n_max leaves pads: the lone middle sector n_max / 2 fills
     # the last row's head, and the rest of that row is padding
     dim = n_max + 1
-    blocks, p, _ = _splitter_blocks(dim)
+    blocks, p, _, _ = _splitter_blocks(dim)
     pads = np.arange(dim * (dim + 1) // 2, p.size)
     assert pads.size == (0 if n_max % 2 else n_max // 2 + 1)
     rows, slots = np.divmod(pads, dim + 1)
@@ -210,7 +214,8 @@ def test_beam_splitter_on_any_pair_equals_moving_it_to_the_front(mode_count):
 
 
 def test_splitter_cache_is_read_only():
-    for array in _splitter_blocks(7):
+    blocks, p, q, sectors = _splitter_blocks(7)
+    for array in (blocks, p, q, *sectors):
         with pytest.raises(ValueError):
             array[0] = 1
 
@@ -329,7 +334,8 @@ CSF_MODES = [("ideal", 3)] + [("jcm", m) for m in range(5)]
 @pytest.mark.parametrize(
     "ns_mode, m, n_max",
     [(ns_mode, m, n_max) for ns_mode, m in CSF_MODES for n_max in (2, 3, 6, 12, 13, 20)]
-    + [("ideal", 3, 30), ("jcm", 3, 30)],  # the benchmark's largest cutoff
+    # the benchmark's largest cutoff, and the next one up for the other parity
+    + [("ideal", 3, 30), ("jcm", 3, 30), ("ideal", 3, 31), ("jcm", 3, 31)],
 )
 def test_csf_matches_the_composed_reference(ns_mode, m, n_max):
     state = random_register(n_max, seed=100 * n_max + m)
@@ -339,11 +345,28 @@ def test_csf_matches_the_composed_reference(ns_mode, m, n_max):
     assert abs(probability - expected_probability) < 1e-13
 
 
+@pytest.mark.parametrize("n_max", [2, 3, 12, 13])
+def test_sector_views_read_each_kept_pair_of_the_mixed_rails_once(n_max):
+    # both parities, so an even n_max's lone middle sector is covered too
+    dim = n_max + 1
+    s = random_register(n_max, seed=n_max)
+    views = [_sector_view(s.amplitudes, dim, total) for total in range(dim)]
+    for total, view in enumerate(views):
+        assert view.shape == (dim, total + 1, 2 * dim)
+        for x2 in range(dim):
+            for p in range(total + 1):
+                for y2 in range(dim):
+                    z = s.amplitude((p, x2, total - p, y2))
+                    assert view[x2, p, 2 * y2] == z.real
+                    assert view[x2, p, 2 * y2 + 1] == z.imag
+    assert sum(view.size for view in views) == dim**3 * (dim + 1)
+
+
 @pytest.mark.parametrize("ns_mode", ["ideal", "jcm"])
 def test_csf_peak_memory_is_a_state_and_a_half(ns_mode):
-    # the folded rows hold the kept half of the grid: the gathered and mixed
-    # rows, then the gathered rows, now the second splitter's result, and the
-    # fresh output; the sign shifts live in the (small) blocks
+    # the compact buffer of mixed sectors holds the kept half of the grid, and
+    # the second splitter writes straight into the fresh output; the input is
+    # read in place, and the sign shifts live in the (small) blocks
     state = random_register(20, seed=7)
     csf_gate(state, ns_mode=ns_mode)  # builds the cached blocks and diagonal
     tracemalloc.start()

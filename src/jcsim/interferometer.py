@@ -30,10 +30,11 @@ degree n_max in e^{i theta} (the SU(2) view of Yurke, McCall & Klauder, PRA
 (input x |alpha>), B the splitter and Pi_n the projection onto n photons in
 the upper path.  The coefficients are built once per (input state, alpha,
 n_max), by the first splitter and then the second on a copy of its output
-that carries n as a third mode's label, and shared read-only as a table
-with one row per kept pair n_0 + n_1 <= n_max and one column per n.  A call,
-cold or warm, multiplies that table by the phases, so a warm call runs no
-splitter and builds no reference.  Each output amplitude is then one dot
+that carries n as a third, trailing mode's label, so both splitters mix
+modes (0, 1).  They are shared read-only as a table with one row per kept
+pair n_0 + n_1 <= n_max and one column per n.  A call, cold or warm,
+multiplies that table by the phases, so a warm call runs no splitter and
+builds no reference.  Each output amplitude is then one dot
 product over the photon numbers: OpenBLAS may share the outputs among
 threads but never splits one, so the output does not depend on the BLAS
 thread count.
@@ -204,10 +205,11 @@ def _theta_coefficients(
     nonzero; and the C-contiguous (dim(dim+1)/2, dim) table whose column n
     holds C[n] = B Pi_n F on those pairs.  Every array is read-only.  F is
     the first splitter's output.  The second splitter builds every column at
-    once: it mixes modes (1, 2) of the three-mode state L[n, a, b] =
-    delta_na F[a, b], whose mode 0 only labels the upper-path photon number
-    that theta multiplies.  Private, so that the public function stays plain
-    for the benchmark's tracer, which sees both splitters of a cold call.
+    once: it mixes modes (0, 1) of the three-mode state L[a, b, n] =
+    delta_na F[a, b], whose mode 2 only labels the upper-path photon number
+    that theta multiplies, so the kept rows of its output, read flat, are
+    the table.  Private, so that the public function stays plain for the
+    benchmark's tracer, which sees both splitters of a cold call.
 
     L takes 16 dim^3 bytes, the largest array of the Mach-Zehnder.  With the
     second splitter's gathered and mixed stacks (about 8 dim^3 bytes each)
@@ -220,16 +222,14 @@ def _theta_coefficients(
     upper = MultiModeState(1, cutoff, np.frombuffer(input_a1, dtype=np.complex128))
     if not np.isfinite(upper.amplitudes).all():
         raise ValueError("the Mach-Zehnder input amplitudes must be finite")
-    first = beam_splitter(tensor(upper, coherent_state(alpha_a2, cutoff)), 0, 1)
+    first = beam_splitter(tensor(upper, coherent_state(alpha_a2, cutoff)))
     dim = cutoff.dim
     photons = np.arange(dim)
     labelled = np.zeros((dim, dim, dim), dtype=np.complex128)
-    labelled[photons, photons] = first.as_tensor()
-    mixed = beam_splitter(MultiModeState(3, cutoff, labelled.reshape(-1)), 1, 2)
+    labelled[photons, :, photons] = first.as_tensor()
+    mixed = beam_splitter(MultiModeState(3, cutoff, labelled.reshape(-1)))
     kept = np.flatnonzero(np.add.outer(photons, photons) <= cutoff.n_max)
-    # fancy indexing copies only the kept rows of the transposed view, where
-    # np.take would first copy the whole of mixed
-    table = mixed.amplitudes.reshape(dim, dim * dim).T[kept]
+    table = mixed.amplitudes.reshape(dim * dim, dim)[kept]
     for array in (photons, kept, table):
         array.setflags(write=False)
     return photons, kept, table

@@ -1,16 +1,17 @@
 """Mode-wise linear optics on number states and the dual-rail sign-flip net.
 
-Beam splitter convention (fixed throughout): the creation operators of the
-two addressed modes transform as
+Beam splitter convention (fixed throughout): the splitter mixes the
+leading pair of modes, 0 and 1, and their creation operators transform as
 
-    a_i†  ->  (a_i† + a_j†) / sqrt(2),
-    a_j†  ->  (a_i† - a_j†) / sqrt(2),
+    a_0†  ->  (a_0† + a_1†) / sqrt(2),
+    a_1†  ->  (a_0† - a_1†) / sqrt(2),
 
-i.e. the symmetric real 50:50 mixing.  This single-particle matrix is a
-Hadamard, so the induced Fock-space unitary is real, symmetric, and its own
-inverse: applying the splitter twice is the identity.
+i.e. the symmetric real 50:50 mixing; any further modes are spectators.
+This single-particle matrix is a Hadamard, so the induced Fock-space unitary
+is real, symmetric, and its own inverse: applying the splitter twice is the
+identity.
 
-The splitter conserves the pair's total photon number N = n_i + n_j, so it
+The splitter conserves the pair's total photon number N = n_0 + n_1, so it
 acts as one SU(2) rotation per sector (Campos, Saleh & Teich, PRA 40, 1371
 (1989)).  Truncation has one meaning: a splitter keeps the pair's sectors
 N <= n_max, rotates each of them exactly, and sets every amplitude with
@@ -28,9 +29,10 @@ last row, and pad slots meet zero rows and columns.  One batched matmul over
 the rows rotates every kept sector; the first dim (dim + 1) / 2 slots, read
 flat, are the kept pairs, each once.  The blocks are cached per dim together
 with the (p, q) indices that gather each row and a view of each sector's
-block.  A splitter pass gathers the kept pairs into a real (row, slot, rest)
-stack, multiplies, and scatters the kept slots into a fresh zeroed state,
-whose zeros are the amplitudes above n_max.
+block.  The pair leads the state, so a splitter pass reads it as
+(n_0, n_1, rest) with no transpose: it gathers the kept pairs into a real
+(row, slot, rest) stack, multiplies, and scatters the kept slots into a
+fresh zeroed state, whose zeros are the amplitudes above n_max.
 
 A dual-rail qubit stores one photon across a pair of paths:
 |0bar> = |0>|1> and |1bar> = |1>|0>.  The conditional sign-flip network
@@ -61,8 +63,8 @@ def _sector_blocks(max_total: int) -> Iterator[np.ndarray]:
     """Yield the exact splitter block of each sector N = 0..max_total.
 
     Block N acts on the basis |p, N - p>, p = 0..N.  Peeling one photon off
-    each side, N |p, q> = sqrt(p) a_i†|p-1, q> + sqrt(q) a_j†|p, q-1>, and
-    the splitter maps a_i†, a_j† to (a_i† +- a_j†)/sqrt(2), so block N is
+    each side, N |p, q> = sqrt(p) a_0†|p-1, q> + sqrt(q) a_1†|p, q-1>, and
+    the splitter maps a_0†, a_1† to (a_0† +- a_1†)/sqrt(2), so block N is
     V (block N-1 (x) H) V†, with H the one-photon Hadamard and V the
     photon-adding map, V V† = 1.  That step cannot amplify earlier rounding,
     so the error grows only linearly in N, unlike building columns from the
@@ -122,50 +124,26 @@ def _splitter_blocks(
     return blocks, p, q, tuple(sectors)
 
 
-def _pair_axes(mode_count: int, mode_i: int, mode_j: int) -> tuple[int, ...]:
-    """Axis order with the addressed pair first, then the other modes in order."""
-    return (mode_i, mode_j, *(k for k in range(mode_count) if k not in (mode_i, mode_j)))
+def beam_splitter(s: MultiModeState) -> MultiModeState:
+    """Apply the 50:50 splitter to modes (0, 1); mode 0 carries the plus arm.
 
-
-def _gather(s: MultiModeState, axes: tuple[int, ...], p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """The pair's kept amplitudes as a real (row, slot, rest) stack, a new buffer.
-
-    Slot s of row r holds |p[r, s], q[r, s]> of the pair, over every
-    occupation of the other modes; pairs above n_max are never read.  The
-    blocks are real, so they mix real and imaginary parts as separate
-    columns.
+    The state is read as (n_0, n_1, rest), the later modes flattened.  The
+    kept pairs are gathered into a real (row, slot, rest) stack, the blocks
+    being real so they mix real and imaginary parts as separate columns; one
+    batched product rotates every row, and the first dim (dim + 1) / 2
+    slots, read flat, are scattered into a fresh zeroed state.  Pads are
+    dropped, and every pair above n_max keeps the allocation's zero.
     """
-    return s.as_tensor().transpose(axes)[p, q].reshape(*p.shape, -1).view(np.float64)
-
-
-def _scatter(
-    s: MultiModeState, axes: tuple[int, ...], p: np.ndarray, q: np.ndarray, rows: np.ndarray
-) -> MultiModeState:
-    """New state shaped like ``s`` holding ``rows``, laid out as :func:`_gather` reads them.
-
-    The first dim (dim + 1) / 2 slots, read flat, are written into a fresh
-    zeroed state; the pads are dropped, and every pair above n_max keeps the
-    allocation's zero.
-    """
+    if s.mode_count < 2:
+        raise ValueError(f"the splitter mixes modes 0 and 1, got {s.mode_count} mode")
     dim = s.cutoff.dim
+    blocks, p, q, _ = _splitter_blocks(dim)
+    rows = blocks @ s.amplitudes.reshape(dim, dim, -1)[p, q].view(np.float64)
     kept = dim * (dim + 1) // 2
-    out = np.zeros(s.as_tensor().shape, dtype=np.complex128)
-    pair_first = out.transpose(axes)
-    flat = rows.view(np.complex128).reshape(p.size, *pair_first.shape[2:])
-    pair_first[p.reshape(-1)[:kept], q.reshape(-1)[:kept]] = flat[:kept]
-    return s.with_amplitudes(out.reshape(-1))
-
-
-def beam_splitter(s: MultiModeState, mode_i: int, mode_j: int) -> MultiModeState:
-    """Apply the 50:50 splitter to modes (mode_i, mode_j); mode_i carries the plus arm."""
-    for mode in (mode_i, mode_j):
-        if not 0 <= mode < s.mode_count:
-            raise ValueError(f"mode {mode} outside [0, {s.mode_count - 1}]")
-    if mode_i == mode_j:
-        raise ValueError("beam splitter needs two distinct modes")
-    blocks, p, q, _ = _splitter_blocks(s.cutoff.dim)
-    axes = _pair_axes(s.mode_count, mode_i, mode_j)
-    return _scatter(s, axes, p, q, blocks @ _gather(s, axes, p, q))
+    out = np.zeros(s.amplitudes.size, dtype=np.complex128)
+    mixed = rows.view(np.complex128).reshape(p.size, -1)
+    out.reshape(dim, dim, -1)[p.reshape(-1)[:kept], q.reshape(-1)[:kept]] = mixed[:kept]
+    return s.with_amplitudes(out)
 
 
 # -- conditional sign flip ---------------------------------------------------

@@ -77,16 +77,23 @@ def csf_composed_reference(s, ns_mode="ideal", m=3):
 
     ``beam_splitter`` on (x1, y1), the package's sign-shift diagonal on
     each of x1 and y1 of the tensor, ``renormalize``, then ``beam_splitter``
-    again.  Returns the output state and the herald probability, the squared
-    norm before renormalizing.  The diagonal itself is checked against
-    :func:`ns_diagonal_closed_form` on its own.
+    again.  The splitter mixes the leading pair, so axes 1 and 2 are swapped
+    around each splitter to bring (x1, y1) to the front.  Returns the output
+    state and the herald probability, the squared norm before renormalizing.
+    The diagonal itself is checked against :func:`ns_diagonal_closed_form`
+    on its own.
     """
+
+    def split_x1_y1(state):
+        front = state.with_amplitudes(state.as_tensor().swapaxes(1, 2).reshape(-1))
+        return state.with_amplitudes(beam_splitter(front).as_tensor().swapaxes(1, 2).reshape(-1))
+
     diag = _sign_shift_diagonal(ns_mode, m, s.cutoff)
-    out = beam_splitter(s, 0, 2)
+    out = split_x1_y1(s)
     tens = out.as_tensor() * diag[:, None, None, None] * diag[None, None, :, None]
     out = out.with_amplitudes(tens.reshape(-1))
     probability = out.norm_squared()
-    return beam_splitter(renormalize(out), 0, 2), probability
+    return split_x1_y1(renormalize(out)), probability
 
 
 def mach_zehnder_chain(input_a1, alpha, theta):
@@ -96,10 +103,10 @@ def mach_zehnder_chain(input_a1, alpha, theta):
     e^{i n theta} on mode 0's n photons, then ``beam_splitter`` again.
     """
     cutoff = input_a1.cutoff
-    first = beam_splitter(tensor(input_a1, coherent_state(alpha, cutoff)), 0, 1)
+    first = beam_splitter(tensor(input_a1, coherent_state(alpha, cutoff)))
     phases = np.exp(1j * theta * np.arange(cutoff.dim))
     tens = first.as_tensor() * phases[:, None]
-    return beam_splitter(first.with_amplitudes(tens.reshape(-1)), 0, 1)
+    return beam_splitter(first.with_amplitudes(tens.reshape(-1)))
 
 
 def _displacement_ladder(beta, dim):
@@ -213,7 +220,7 @@ def coherent_bs_law_check(alpha, beta, cutoff=12):
     """
     cutoff = as_cutoff(cutoff)
     state = tensor(coherent_state(alpha, cutoff), coherent_state(beta, cutoff))
-    out = beam_splitter(state, 0, 1).amplitudes
+    out = beam_splitter(state).amplitudes
     plus = (alpha + beta) / math.sqrt(2)
     minus = (alpha - beta) / math.sqrt(2)
     predicted = tensor(coherent_state(plus, cutoff), coherent_state(minus, cutoff))

@@ -188,7 +188,7 @@ def test_criterion_09_oracle_equivalence():
         dim = n_max + 1
         for n in range(dim):
             for m in range(dim):
-                out = beam_splitter(number_state([n, m], n_max), 0, 1)
+                out = beam_splitter(number_state([n, m], n_max))
                 if np.abs(out.amplitudes - multinomial_oracle(n, m, dim)).max() > 1e-9:
                     splitter_ok = False
     assert report(

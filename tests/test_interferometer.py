@@ -386,7 +386,7 @@ def test_theta_sweep_mixes_the_reference_once():
     assert (info.misses, info.hits, info.currsize) == (1, 1023, 1)
 
 
-def test_warm_call_runs_one_splitter_and_no_reference(monkeypatch):
+def test_cold_call_runs_two_splitters_and_a_warm_call_none(monkeypatch):
     state = cavity_ns_output(0.5, 3, 16).state
     calls = {"beam_splitter": 0, "coherent_state": 0}
 

@@ -57,14 +57,14 @@ def random_bounded_state(n_max, seed):
 
 
 def test_two_photon_bunching():
-    out = beam_splitter(number_state([1, 1], 4), 0, 1)
+    out = beam_splitter(number_state([1, 1], 4))
     assert np.isclose(out.amplitude([2, 0]), 1 / math.sqrt(2), atol=1e-12)
     assert np.isclose(out.amplitude([0, 2]), -1 / math.sqrt(2), atol=1e-12)
     assert np.isclose(out.amplitude([1, 1]), 0.0, atol=1e-12)
 
 
 def test_vacuum_invariant():
-    out = beam_splitter(number_state([0, 0], 4), 0, 1)
+    out = beam_splitter(number_state([0, 0], 4))
     assert np.allclose(out.amplitudes, number_state([0, 0], 4).amplitudes)
 
 
@@ -73,7 +73,7 @@ def test_vacuum_invariant():
 @settings(max_examples=20)
 def test_applied_twice_is_identity(n_max, seed):
     s = random_bounded_state(n_max, seed)
-    roundtrip = beam_splitter(beam_splitter(s, 0, 1), 0, 1)
+    roundtrip = beam_splitter(beam_splitter(s))
     assert np.abs(roundtrip.amplitudes - s.amplitudes).max() < 1e-12
 
 
@@ -82,7 +82,7 @@ def test_applied_twice_is_identity(n_max, seed):
 @settings(max_examples=20)
 def test_norm_preserved_on_bounded_states(n_max, seed):
     s = random_bounded_state(n_max, seed)
-    assert abs(math.sqrt(beam_splitter(s, 0, 1).norm_squared()) - 1.0) < 1e-12
+    assert abs(math.sqrt(beam_splitter(s).norm_squared()) - 1.0) < 1e-12
 
 
 @pytest.mark.parametrize("n_max", [6, 12, 20, 30])
@@ -90,7 +90,7 @@ def test_norm_preserved_on_bounded_states(n_max, seed):
 @settings(max_examples=15)
 def test_total_photon_distribution_conserved(n_max, seed):
     s = random_bounded_state(n_max, seed)
-    out = beam_splitter(s, 0, 1)
+    out = beam_splitter(s)
     dim = n_max + 1
     n1, n2 = np.meshgrid(np.arange(dim), np.arange(dim), indexing="ij")
     for state in (s, out):
@@ -107,7 +107,7 @@ def test_matches_symbolic_multinomial_oracle(n_max):
     dim = n_max + 1
     for n in range(dim):
         for m in range(dim):
-            out = beam_splitter(number_state([n, m], n_max), 0, 1)
+            out = beam_splitter(number_state([n, m], n_max))
             oracle = multinomial_oracle(n, m, dim)
             assert np.abs(out.amplitudes - oracle).max() < 1e-9
 
@@ -116,7 +116,7 @@ def test_matches_symbolic_multinomial_oracle(n_max):
     "n, m", [(15, 15), (0, 30), (10, 20), (28, 30), (30, 30), (15, 20)]
 )
 def test_high_photon_columns_match_symbolic_multinomial_oracle(n, m):
-    out = beam_splitter(number_state([n, m], 30), 0, 1).amplitudes
+    out = beam_splitter(number_state([n, m], 30)).amplitudes
     assert np.abs(out - multinomial_oracle(n, m, 31)).max() < 1e-12
     # N > n_max is outside the model: the splitter never gathers the column,
     # so the output keeps its fresh zeros
@@ -125,23 +125,22 @@ def test_high_photon_columns_match_symbolic_multinomial_oracle(n, m):
 
 
 @pytest.mark.parametrize("n_max", [3, 6, 12, 13, 20, 30])
-@given(st.integers(0, 2**32 - 1), st.permutations(range(3)))
+@given(st.integers(0, 2**32 - 1))
 @settings(max_examples=10)
-def test_splitter_keeps_the_pair_sectors_up_to_n_max_and_cuts_the_rest(n_max, seed, modes):
+def test_splitter_keeps_the_pair_sectors_up_to_n_max_and_cuts_the_rest(n_max, seed):
     # on a full grid: zeros where the pair's N > n_max, the exact rotation of
     # every sector below, so the kept norm holds and twice is the projection
-    mode_i, mode_j, _ = modes
     dim = n_max + 1
     rng = np.random.default_rng(seed)
     amps = rng.normal(size=dim**3) + 1j * rng.normal(size=dim**3)
     s = renormalize(MultiModeState(3, FockCutoff(n_max), amps))
     occupations = np.indices((dim,) * 3).reshape(3, -1)
-    outside = occupations[mode_i] + occupations[mode_j] > n_max
+    outside = occupations[0] + occupations[1] > n_max
     projected = np.where(outside, 0.0, s.amplitudes)
-    out = beam_splitter(s, mode_i, mode_j)
+    out = beam_splitter(s)
     assert not out.amplitudes[outside].any()
     assert abs(math.sqrt(out.norm_squared()) - np.linalg.norm(projected)) < 1e-14
-    twice = beam_splitter(out, mode_i, mode_j)
+    twice = beam_splitter(out)
     assert np.abs(twice.amplitudes - projected).max() < 1e-14
 
 
@@ -191,26 +190,11 @@ def test_sector_blocks_are_orthogonal_involutions():
 
 
 def test_beam_splitter_on_selected_modes_of_larger_register():
-    s = number_state([1, 0, 1], 4)
-    out = beam_splitter(s, 0, 2)
-    assert np.isclose(out.amplitude([2, 0, 0]), 1 / math.sqrt(2), atol=1e-12)
-    assert np.isclose(out.amplitude([0, 0, 2]), -1 / math.sqrt(2), atol=1e-12)
-
-
-@pytest.mark.parametrize("mode_count", [3, 4])
-def test_beam_splitter_on_any_pair_equals_moving_it_to_the_front(mode_count):
-    rng = np.random.default_rng(mode_count)
-    dim = 5
-    amps = rng.normal(size=dim**mode_count) + 1j * rng.normal(size=dim**mode_count)
-    s = MultiModeState(mode_count, FockCutoff(dim - 1), amps)
-    for i in range(mode_count):
-        for j in range(mode_count):
-            if i == j:
-                continue
-            front = np.ascontiguousarray(np.moveaxis(s.as_tensor(), (i, j), (0, 1)))
-            split = beam_splitter(s.with_amplitudes(front.reshape(-1)), 0, 1).as_tensor()
-            expected = np.moveaxis(split, (0, 1), (i, j))
-            assert beam_splitter(s, i, j).as_tensor().tobytes() == expected.tobytes()
+    # the splitter mixes the leading pair; the occupied trailing mode is a spectator
+    s = number_state([1, 1, 2], 4)
+    out = beam_splitter(s)
+    assert np.isclose(out.amplitude([2, 0, 2]), 1 / math.sqrt(2), atol=1e-12)
+    assert np.isclose(out.amplitude([0, 2, 2]), -1 / math.sqrt(2), atol=1e-12)
 
 
 def test_splitter_cache_is_read_only():
@@ -227,14 +211,9 @@ def test_splitter_cache_holds_at_most_four_dimensions():
     assert _splitter_blocks.cache_info().currsize <= 4
 
 
-def test_beam_splitter_mode_out_of_range():
-    with pytest.raises(ValueError, match=r"mode 5 outside \[0, 1\]"):
-        beam_splitter(number_state([0, 0], 3), 0, 5)
-
-
-def test_spec_rejects_equal_modes():
-    with pytest.raises(ValueError, match="two distinct modes"):
-        beam_splitter(number_state([0, 0], 3), 1, 1)
+def test_beam_splitter_refuses_a_one_mode_state():
+    with pytest.raises(ValueError, match="mixes modes 0 and 1"):
+        beam_splitter(number_state([1], 3))
 
 
 # -- coherent splitting law ----------------------------------------------------------

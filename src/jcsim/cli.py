@@ -126,15 +126,15 @@ def _cmd_table1(args) -> dict:
 
 def _cmd_ns_gate(args) -> dict:
     state = MultiModeState.from_json(Path(args.input).read_text())
-    result = ns_gate(state, args.m, apply_compensating_phase=args.phase)
+    output, success_probability = ns_gate(state, args.m, apply_compensating_phase=args.phase)
     c, d = cm_dm(args.m)
     return {
         "m": args.m,
-        "success_probability": result.success_probability,
+        "success_probability": success_probability,
         "c_m": c,
         "c_m_squared": abs(c) ** 2,
         "d_m": d,
-        "output": result.output.to_json_dict(),
+        "output": output.to_json_dict(),
     }
 
 

@@ -113,10 +113,10 @@ def _heralded_cavity(alpha: complex, m: int, cutoff: FockCutoff) -> CavityOutput
             f"a coherent input of |alpha| = {size:g} loses {lost:.3g} of its mass above "
             f"n_max = {photons.cutoff.n_max}; raise --n-max"
         )
-    result = ns_gate(photons, m, apply_compensating_phase=False)
-    probs = np.abs(result.output.amplitudes) ** 2
+    output, _ = ns_gate(photons, m, apply_compensating_phase=False)
+    probs = np.abs(output.amplitudes) ** 2
     error_mass = float(probs[3:].sum())
-    return CavityOutput(result.output, error_mass)
+    return CavityOutput(output, error_mass)
 
 
 def cat_reference(

@@ -138,14 +138,6 @@ def ns_post_selected_diagonal(m: int, cutoff: int | FockCutoff) -> np.ndarray:
     return _heralded_propagation(m, as_cutoff(cutoff)).g_block
 
 
-@dataclass(frozen=True)
-class NSGateResult:
-    """Post-selected gate output together with the herald probability."""
-
-    output: MultiModeState
-    success_probability: float
-
-
 def _sign_shift_diagonal(ns_mode: str, m: int, cutoff: FockCutoff) -> np.ndarray:
     """The sign-shift gate's post-selected action s[n] on photon number n = 0..n_max.
 
@@ -173,12 +165,13 @@ def _sign_shift_diagonal(ns_mode: str, m: int, cutoff: FockCutoff) -> np.ndarray
 
 def ns_gate(
     input_state: MultiModeState, m: int, apply_compensating_phase: bool = False
-) -> NSGateResult:
+) -> tuple[MultiModeState, float]:
     """Run the atom-field protocol and post-select the atom in |g>.
 
     Scales the input by the post-selected diagonal of U(t_m), sign-corrected
-    by :func:`_sign_shift_diagonal` if asked, and renormalizes.  The success
-    probability is the squared norm of the unnormalized projection.
+    by :func:`_sign_shift_diagonal` if asked, and renormalizes.  Returns the
+    output state and the herald probability, the squared norm of the
+    unnormalized projection.
     """
     if input_state.mode_count != 1:
         raise ValueError("the gate acts on a single-mode state")
@@ -193,7 +186,7 @@ def ns_gate(
     if success_probability == 0.0:
         raise ValueError("atom is never found in |g>; nothing to post-select")
     amps = surviving / math.sqrt(success_probability)
-    return NSGateResult(input_state.with_amplitudes(amps), success_probability)
+    return input_state.with_amplitudes(amps), success_probability
 
 
 def table1() -> list[tuple[int, float, float]]:

@@ -28,9 +28,9 @@ is even the lone middle sector n_max / 2 leaves padding at the tail of the
 last row, and pad slots meet zero rows and columns.  One batched matmul over
 the rows rotates every kept sector; the first dim (dim + 1) / 2 slots, read
 flat, are the kept pairs, each once.  The blocks are cached per dim together
-with the (p, q) indices that gather each row and a view of each sector's
-block.  The pair leads the state, so a splitter pass reads it as
-(n_0, n_1, rest) with no transpose: it gathers the kept pairs into a real
+with the flat pair index n_0 dim + n_1 of each slot and a view of each
+sector's block.  The pair leads the state, so a splitter pass reads it as
+(pair, rest) with no transpose: it gathers the kept pairs into a real
 (row, slot, rest) stack, multiplies, and scatters the kept slots into a
 fresh zeroed state, whose zeros are the amplitudes above n_max.
 
@@ -88,18 +88,18 @@ def _sector_blocks(max_total: int) -> Iterator[np.ndarray]:
 
 
 @lru_cache(maxsize=4)
-def _splitter_blocks(
-    dim: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
-    """Folded splitter blocks, the gather indices (p, q) of their slots, and each sector's block.
+def _splitter_blocks(dim: int) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
+    """Folded splitter blocks, the flat pair index of their slots, and each sector's block.
 
-    ``blocks[r, out, in]`` acts on row r, the amplitudes |p[r, s], q[r, s]>
-    over slots s = 0..dim.  Sector N <= n_max / 2 sits in row N from slot 0,
-    sector N > n_max / 2 in row n_max - N from slot n_max - N + 1, each with
-    its exact block.  Pad slots, the tail of the last row when n_max is even,
-    gather |0, 0> and meet zero rows and columns.  ``sectors[N]`` is sector
-    N's block where the fold put it, a view into ``blocks``, acting on
-    |p, N - p>, p = 0..N.  Every array is read-only.
+    ``blocks[r, out, in]`` acts on row r, the amplitudes of the pairs
+    ``pairs[r, s]`` over slots s = 0..dim, where pair |p, q> has flat index
+    p dim + q.  Sector N <= n_max / 2 sits in row N from slot 0, sector
+    N > n_max / 2 in row n_max - N from slot n_max - N + 1, each with its
+    exact block; its pairs |p, N - p> are N + n_max p, p = 0..N.  Pad slots,
+    the tail of the last row when n_max is even, hold index 0, gather |0, 0>
+    and meet zero rows and columns.  ``sectors[N]`` is sector N's block
+    where the fold put it, a view into ``blocks``, acting on |p, N - p>,
+    p = 0..N.  Every array is read-only.
 
     The blocks take about 4 dim^3 bytes; the sector views add none.  No
     caller uses more than three dimensions, and the cache keeps four: at the
@@ -109,40 +109,39 @@ def _splitter_blocks(
     n_max = dim - 1
     row_count = (dim + 1) // 2
     blocks = np.zeros((row_count, dim + 1, dim + 1))
-    p = np.zeros((row_count, dim + 1), dtype=np.intp)
-    q = np.zeros((row_count, dim + 1), dtype=np.intp)
+    pairs = np.zeros((row_count, dim + 1), dtype=np.intp)
     sectors = []
     for total, block in enumerate(_sector_blocks(n_max)):
         row, start = (total, 0) if 2 * total <= n_max else (n_max - total, dim - total)
         kept = slice(start, start + total + 1)
         sectors.append(blocks[row, kept, kept])
         sectors[-1][...] = block
-        p[row, kept] = np.arange(total + 1)
-        q[row, kept] = total - p[row, kept]
-    for array in (blocks, p, q, *sectors):
+        pairs[row, kept] = total + n_max * np.arange(total + 1)
+    for array in (blocks, pairs, *sectors):
         array.setflags(write=False)
-    return blocks, p, q, tuple(sectors)
+    return blocks, pairs, tuple(sectors)
 
 
 def beam_splitter(s: MultiModeState) -> MultiModeState:
     """Apply the 50:50 splitter to modes (0, 1); mode 0 carries the plus arm.
 
-    The state is read as (n_0, n_1, rest), the later modes flattened.  The
-    kept pairs are gathered into a real (row, slot, rest) stack, the blocks
-    being real so they mix real and imaginary parts as separate columns; one
-    batched product rotates every row, and the first dim (dim + 1) / 2
-    slots, read flat, are scattered into a fresh zeroed state.  Pads are
-    dropped, and every pair above n_max keeps the allocation's zero.
+    The state is read as (pair, rest), the pair flattened to n_0 dim + n_1
+    and the later modes to rest.  The kept pairs are gathered into a real
+    (row, slot, rest) stack, the blocks being real so they mix real and
+    imaginary parts as separate columns; one batched product rotates every
+    row, and the first dim (dim + 1) / 2 slots, read flat, are scattered
+    into a fresh zeroed state.  Pads are dropped, and every pair above n_max
+    keeps the allocation's zero.
     """
     if s.mode_count < 2:
         raise ValueError(f"the splitter mixes modes 0 and 1, got {s.mode_count} mode")
     dim = s.cutoff.dim
-    blocks, p, q, _ = _splitter_blocks(dim)
-    rows = blocks @ s.amplitudes.reshape(dim, dim, -1)[p, q].view(np.float64)
+    blocks, pairs, _ = _splitter_blocks(dim)
+    rows = blocks @ s.amplitudes.reshape(dim * dim, -1)[pairs].view(np.float64)
     kept = dim * (dim + 1) // 2
     out = np.zeros(s.amplitudes.size, dtype=np.complex128)
-    mixed = rows.view(np.complex128).reshape(p.size, -1)
-    out.reshape(dim, dim, -1)[p.reshape(-1)[:kept], q.reshape(-1)[:kept]] = mixed[:kept]
+    mixed = rows.view(np.complex128).reshape(pairs.size, -1)
+    out.reshape(dim * dim, -1)[pairs.reshape(-1)[:kept]] = mixed[:kept]
     return s.with_amplitudes(out)
 
 
@@ -219,7 +218,8 @@ def csf_gate(
         shift = diag[: total + 1] * diag[total::-1]  # s[p] s[N - p]
         np.matmul(block * shift[:, None], _sector_view(s.amplitudes, dim, total), out=part)
         parts.append(part)
-    success_probability = float(np.vdot(mixed, mixed))
+    # a fixed-order sum that calls no BLAS: np.vdot splits it across threads
+    success_probability = float(np.einsum("i,i->", mixed, mixed))
     if success_probability == 0.0:
         raise ValueError("nothing survives the cutoff and the sign-shift heralds")
     root = math.sqrt(success_probability)

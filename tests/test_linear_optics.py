@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,6 +37,8 @@ from jcsim.linear_optics import (
     csf_truth_table,
     logical_basis_state,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def random_register(n_max, seed):
@@ -150,7 +156,8 @@ def test_folded_rows_hold_each_kept_sector_once_with_its_exact_block(n_max):
     # each once, and a block couples two slots only within one sector; the
     # sector views are those blocks, read where the fold put them
     dim = n_max + 1
-    blocks, p, q, sectors = _splitter_blocks(dim)
+    blocks, flat, sectors = _splitter_blocks(dim)
+    p, q = np.divmod(flat, dim)  # flat pair index p dim + q
     assert blocks.shape == ((dim + 1) // 2, dim + 1, dim + 1)
     kept = dim * (dim + 1) // 2
     pairs = sorted(zip(p.reshape(-1)[:kept].tolist(), q.reshape(-1)[:kept].tolist()))
@@ -172,9 +179,10 @@ def test_pad_slots_sit_at_the_flat_tail_with_zero_rows_and_columns(n_max):
     # only an even n_max leaves pads: the lone middle sector n_max / 2 fills
     # the last row's head, and the rest of that row is padding
     dim = n_max + 1
-    blocks, p, _, _ = _splitter_blocks(dim)
-    pads = np.arange(dim * (dim + 1) // 2, p.size)
+    blocks, pairs, _ = _splitter_blocks(dim)
+    pads = np.arange(dim * (dim + 1) // 2, pairs.size)
     assert pads.size == (0 if n_max % 2 else n_max // 2 + 1)
+    assert not pairs.reshape(-1)[pads].any()  # each pad gathers |0, 0>
     rows, slots = np.divmod(pads, dim + 1)
     assert (rows == blocks.shape[0] - 1).all()
     assert not blocks[rows, slots, :].any()
@@ -198,8 +206,8 @@ def test_beam_splitter_on_selected_modes_of_larger_register():
 
 
 def test_splitter_cache_is_read_only():
-    blocks, p, q, sectors = _splitter_blocks(7)
-    for array in (blocks, p, q, *sectors):
+    blocks, pairs, sectors = _splitter_blocks(7)
+    for array in (blocks, pairs, *sectors):
         with pytest.raises(ValueError):
             array[0] = 1
 
@@ -394,6 +402,44 @@ def test_csf_truncation_loses_at_most_the_mixed_rails_tail(ns_mode, n_max, seed)
     else:
         assert 0.0 < probability <= 1.0 - tail + 1e-12
     assert abs(out.norm_squared() - 1.0) < 1e-12
+
+
+#: Runs csf_gate on seeded random registers, normalized with np.sum (no
+#: BLAS), and prints a hash of each output's bytes with the herald's bits.
+CSF_THREADS_SCRIPT = """
+import hashlib, math, sys
+import numpy as np
+from jcsim.fock import FockCutoff, MultiModeState
+from jcsim.linear_optics import csf_gate
+n_max = int(sys.argv[1])
+for seed in (1, 2):
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=(n_max + 1) ** 4) + 1j * rng.normal(size=(n_max + 1) ** 4)
+    state = MultiModeState(4, FockCutoff(n_max), amps / math.sqrt(np.sum(np.abs(amps) ** 2)))
+    for ns_mode in ("ideal", "jcm"):
+        out, probability = csf_gate(state, ns_mode, 3)
+        print(seed, ns_mode, hashlib.sha256(out.amplitudes.tobytes()).hexdigest(), probability.hex())
+"""
+
+
+@pytest.mark.parametrize("n_max", ["12", "20", "30"])
+def test_csf_results_do_not_depend_on_the_blas_thread_count(n_max):
+    # the per-sector products stay below OpenBLAS's threading size up to
+    # n_max 30, and the herald is a fixed-order sum; larger cutoffs are not
+    # covered here
+    lines = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "OPENBLAS_NUM_THREADS": threads}
+        run = subprocess.run(
+            [sys.executable, "-c", CSF_THREADS_SCRIPT, n_max],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        lines.append(run.stdout.splitlines())
+    assert len(lines[0]) == 4
+    assert lines[0] == lines[1]
 
 
 @pytest.mark.parametrize("ns_mode", ["ideal", "jcm"])

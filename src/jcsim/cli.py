@@ -41,7 +41,6 @@ from .linear_optics import csf_truth_table
 from .loop_circuit import (
     PC_RESPONSE,
     LoopPhase,
-    LoopSchedule,
     LoopTimingReport,
     ProtocolTrace,
     canonical_schedule,
@@ -193,7 +192,7 @@ def _cmd_loop_timing(args) -> LoopTimingReport:
     )
 
 
-def _load_schedule(source: str) -> LoopSchedule:
+def _load_schedule(source: str) -> tuple[LoopPhase, ...]:
     try:
         is_file = Path(source).exists()
     except OSError:  # inline JSON can exceed filename length limits
@@ -215,17 +214,15 @@ def _load_schedule(source: str) -> LoopSchedule:
     ):
         raise layout
     try:
-        return LoopSchedule(tuple(LoopPhase(p["pc_on"], float(p["duration"])) for p in phases))
+        return tuple(LoopPhase(p["pc_on"], float(p["duration"])) for p in phases)
     except OverflowError:  # an integer duration beyond the float range
         raise layout from None
 
 
 def _cmd_loop_protocol(args) -> ProtocolTrace:
     if args.schedule is not None:
-        schedule = _load_schedule(args.schedule)
-    else:
-        schedule = canonical_schedule(args.kappa, args.m)
-    return run_loop_protocol(schedule)
+        return run_loop_protocol(_load_schedule(args.schedule))
+    return run_loop_protocol(canonical_schedule(args.kappa, args.m))
 
 
 # -- parser -------------------------------------------------------------------

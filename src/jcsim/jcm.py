@@ -37,58 +37,42 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .fock import FockCutoff, MultiModeState, as_cutoff
 
 
-@dataclass(frozen=True, eq=False)
-class AtomFieldState:
-    """Atom (x) single field mode, as a vector over {|g,n>} then {|e,n>}.
+def jcm_propagate(
+    ground: np.ndarray, excited: np.ndarray, kappa_t: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Apply the exact propagator at pulse area ``kappa_t`` = |kappa| t, block by block.
 
-    The amplitude layout is the ground block for n = 0..n_max followed by
-    the excited block for n = 0..n_max.
+    ``ground`` and ``excited`` hold the |g,n> and |e,n> amplitudes for
+    n = 0..n_max.  Returns the evolved (ground, excited) pair as read-only
+    complex128 arrays.
     """
-
-    cutoff: FockCutoff
-    amplitudes: np.ndarray = field(repr=False)
-
-    def __post_init__(self) -> None:
-        amps = np.ascontiguousarray(self.amplitudes, dtype=np.complex128)
-        if amps.shape != (2 * self.cutoff.dim,):
-            raise ValueError(
-                f"expected {2 * self.cutoff.dim} amplitudes, got shape {amps.shape}"
-            )
-        amps.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amps)
-
-    @property
-    def g_block(self) -> np.ndarray:
-        return self.amplitudes[: self.cutoff.dim]
-
-    @property
-    def e_block(self) -> np.ndarray:
-        return self.amplitudes[self.cutoff.dim :]
-
-
-def jcm_propagate(s: AtomFieldState, kappa_t: float) -> AtomFieldState:
-    """Apply the exact propagator at pulse area ``kappa_t`` = |kappa| t, block by block."""
+    g = np.asarray(ground, dtype=np.complex128)
+    e = np.asarray(excited, dtype=np.complex128)
+    if g.ndim != 1 or g.shape != e.shape or not g.size:
+        raise ValueError(
+            f"the ground and excited blocks must be equal-length non-empty 1-D arrays, "
+            f"got shapes {g.shape} and {e.shape}"
+        )
     if not 0 <= kappa_t < math.inf:
         raise ValueError(f"kappa_t must be non-negative and finite, got {kappa_t}")
-    dim = s.cutoff.dim
-    g, e = s.g_block, s.e_block
-    theta = np.sqrt(np.arange(1, dim)) * kappa_t
+    theta = np.sqrt(np.arange(1, g.size)) * kappa_t
     c, sn = np.cos(theta), np.sin(theta)
 
-    out = np.empty(2 * dim, dtype=np.complex128)
-    out[0] = g[0]                       # N = 0 block
-    out[2 * dim - 1] = e[dim - 1]       # orphan |e, n_max>, partner truncated
+    g_out, e_out = np.empty_like(g), np.empty_like(e)
+    g_out[0] = g[0]       # N = 0 block
+    e_out[-1] = e[-1]     # orphan |e, n_max>, partner truncated
     # N = 1..n_max blocks on (|g,N>, |e,N-1>)
-    out[1:dim] = c * g[1:] - 1j * sn * e[: dim - 1]
-    out[dim : 2 * dim - 1] = -1j * sn * g[1:] + c * e[: dim - 1]
-    return AtomFieldState(s.cutoff, out)
+    g_out[1:] = c * g[1:] - 1j * sn * e[:-1]
+    e_out[:-1] = -1j * sn * g[1:] + c * e[:-1]
+    g_out.setflags(write=False)
+    e_out.setflags(write=False)
+    return g_out, e_out
 
 
 #: Largest admitted m.  A large m loses the pulse area (2m+1) pi / sqrt(2)
@@ -110,14 +94,13 @@ def ns_gate_times(kappa_abs: float, m: int) -> float:
     return (2 * m + 1) * math.pi / (math.sqrt(2) * kappa_abs)
 
 
-def _heralded_propagation(m: int, cutoff: FockCutoff) -> AtomFieldState:
-    """U(t_m) (|g> (x) sum_n |n>), one propagation at pulse area t_m.
+def _heralded_propagation(m: int, cutoff: FockCutoff) -> tuple[np.ndarray, np.ndarray]:
+    """The (ground, excited) blocks of U(t_m) (|g> (x) sum_n |n>), one propagation at t_m.
 
     The ground block is the post-selected diagonal; the |1> sector gives
-    c(m) in ``e_block[0]`` and d(m) in ``g_block[1]``.
+    c(m) in ``excited[0]`` and d(m) in ``ground[1]``.
     """
-    start = AtomFieldState(cutoff, np.concatenate([np.ones(cutoff.dim), np.zeros(cutoff.dim)]))
-    return jcm_propagate(start, ns_gate_times(1.0, m))
+    return jcm_propagate(np.ones(cutoff.dim), np.zeros(cutoff.dim), ns_gate_times(1.0, m))
 
 
 def cm_dm(m: int) -> tuple[complex, float]:
@@ -125,8 +108,8 @@ def cm_dm(m: int) -> tuple[complex, float]:
 
     U(t_m)|g,1> = c(m)|e,0> + d(m)|g,1>, read from the propagator.
     """
-    evolved = _heralded_propagation(m, FockCutoff(2))
-    return complex(evolved.e_block[0]), float(evolved.g_block[1].real)
+    ground, excited = _heralded_propagation(m, FockCutoff(2))
+    return complex(excited[0]), float(ground[1].real)
 
 
 def ns_post_selected_diagonal(m: int, cutoff: int | FockCutoff) -> np.ndarray:
@@ -135,7 +118,7 @@ def ns_post_selected_diagonal(m: int, cutoff: int | FockCutoff) -> np.ndarray:
     Entry n is <g,n| U(t_m) |g,n>, the factor by which post-selection on
     the ground state scales the photon amplitude on |n>.
     """
-    return _heralded_propagation(m, as_cutoff(cutoff)).g_block
+    return _heralded_propagation(m, as_cutoff(cutoff))[0]
 
 
 def _sign_shift_diagonal(ns_mode: str, m: int, cutoff: FockCutoff) -> np.ndarray:

@@ -72,23 +72,10 @@ class LoopPhase:
             )
 
 
-@dataclass(frozen=True)
-class LoopSchedule:
-    """Injection, circulation, extraction phases, in that order."""
-
-    phases: tuple[LoopPhase, LoopPhase, LoopPhase]
-
-    def __post_init__(self) -> None:
-        if len(self.phases) != 3:
-            raise ValueError(f"a loop schedule has exactly 3 phases, got {len(self.phases)}")
-
-
-def canonical_schedule(kappa_abs: float, m: int) -> LoopSchedule:
+def canonical_schedule(kappa_abs: float, m: int) -> tuple[LoopPhase, LoopPhase, LoopPhase]:
     """Cell on for one response time, off for one gate time, on again."""
     gate = ns_gate_times(kappa_abs, m)
-    return LoopSchedule(
-        (LoopPhase(True, PC_RESPONSE), LoopPhase(False, gate), LoopPhase(True, PC_RESPONSE))
-    )
+    return LoopPhase(True, PC_RESPONSE), LoopPhase(False, gate), LoopPhase(True, PC_RESPONSE)
 
 
 @dataclass(frozen=True)
@@ -107,18 +94,20 @@ class ProtocolTrace:
     interaction_window: float  # circulation duration handed to the atom-field gate
 
 
-def run_loop_protocol(schedule: LoopSchedule) -> ProtocolTrace:
-    """Execute the three-phase loop on a single injected photon.
+def run_loop_protocol(phases: tuple[LoopPhase, ...]) -> ProtocolTrace:
+    """Execute the injection, circulation and extraction phases on a single injected photon.
 
     The photon arrives horizontally polarized on path a (only H is steered
-    into the loop by the splitter).  Raises ``ValueError`` if
-    any phase would eject the photon before extraction or leave it
-    circulating afterwards.
+    into the loop by the splitter).  Raises ``ValueError`` unless there are
+    exactly three phases, and if any phase would eject the photon before
+    extraction or leave it circulating afterwards.
     """
+    if len(phases) != 3:
+        raise ValueError(f"a loop schedule has exactly 3 phases, got {len(phases)}")
     steps: list[TraceStep] = []
     label = ("a", "H")
     for number, (phase, (elements, after, violation)) in enumerate(
-        zip(schedule.phases, _PHASES), start=1
+        zip(phases, _PHASES), start=1
     ):
         for element in elements:
             label = _pbs(label) if element == "pbs" else _pockels(label, phase.pc_on)
@@ -126,7 +115,7 @@ def run_loop_protocol(schedule: LoopSchedule) -> ProtocolTrace:
         if label != after:
             raise ValueError(violation)
     return ProtocolTrace(
-        tuple(steps), exit_phase=3, interaction_window=schedule.phases[1].duration
+        tuple(steps), exit_phase=3, interaction_window=phases[1].duration
     )
 
 

@@ -39,6 +39,13 @@ RUNS = {
     "fig4-pmf": ["fig4-pmf", "--format", "json"],
     "loop-timing": ["loop-timing", "--wavelength", "1.39724e-2", "--kappa", "14285.714"],
     "loop-protocol": ["loop-protocol", "--kappa", "14285.714", "--m", "1"],
+    # the canonical m = 1 phases written out, durations by repr: same results as the run above
+    "loop-protocol schedule": [
+        "loop-protocol", "--schedule",
+        '[{"pc_on": true, "duration": 2.5e-10}, '
+        '{"pc_on": false, "duration": 0.0004665027178366827}, '
+        '{"pc_on": true, "duration": 2.5e-10}]',
+    ],
 }
 RUNS.update({f"csf-verify jcm-m={m}": ["csf-verify", "--jcm-m", str(m)] for m in range(5)})
 for _m in range(5):

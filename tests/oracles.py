@@ -47,8 +47,8 @@ def coherent_amplitudes_mp(alpha, n_max):
 def dense_propagator(n_max, kappa_abs, kappa_phase, t):
     """Matrix exponential of -i t (kappa sigma_+ a + conj(kappa) sigma_- a†).
 
-    Laid out as the ground block then the excited block, matching
-    AtomFieldState.amplitudes.
+    Laid out as the ground block then the excited block, the pair that
+    ``jcm_propagate`` takes and returns.
     """
     dim = n_max + 1
     a = np.diag(np.sqrt(np.arange(1, dim)), 1)

@@ -575,6 +575,9 @@ def test_loop_protocol_violation_is_runtime_error(capsys):
         '{"pc_on": true, "duration": 1e-9}]',
         '[{"pc_on": true, "duration": true}, {"pc_on": false, "duration": 1e-6}, '
         '{"pc_on": true, "duration": true}]',
+        '[{"pc_on": true, "duration": 1e-9}, {"pc_on": false, "duration": 1e-6}]',
+        '[{"pc_on": true, "duration": 1e-9}, {"pc_on": false, "duration": 1e-6}, '
+        '{"pc_on": true, "duration": 1e-9}, {"pc_on": false, "duration": 1e-6}]',
     ],
     ids=[
         "list-of-ints",
@@ -585,6 +588,8 @@ def test_loop_protocol_violation_is_runtime_error(capsys):
         "integer-beyond-float-range",
         "infinite-duration",
         "boolean-duration",
+        "two-phases",
+        "four-phases",
     ],
 )
 def test_loop_protocol_malformed_schedule_is_runtime_error(schedule, capsys):

@@ -10,6 +10,8 @@ import json
 
 from golden.regen import GOLDEN, RUNS, numpy_build, run_results
 
+from jcsim.loop_circuit import LoopPhase, canonical_schedule
+
 FLOAT_TOL = 1e-15
 
 
@@ -53,3 +55,13 @@ def test_results_payloads_match_the_golden_file(tmp_path):
     assert not problems, f"compared {mode}; {len(problems)} mismatch(es):\n" + "\n".join(
         problems[:40]
     )
+
+
+def test_the_written_out_schedule_is_the_canonical_run():
+    # the schedule run spells out canonical_schedule(14285.714, 1), so the
+    # --schedule path through the CLI must give the canonical run's payload
+    argv = RUNS["loop-protocol schedule"]
+    written = [LoopPhase(p["pc_on"], p["duration"]) for p in json.loads(argv[-1])]
+    assert tuple(written) == canonical_schedule(14285.714, 1)
+    runs = json.loads(GOLDEN.read_text())["runs"]
+    assert runs["loop-protocol schedule"]["results"] == runs["loop-protocol"]["results"]

@@ -422,11 +422,12 @@ for seed in (1, 2):
 """
 
 
-@pytest.mark.parametrize("n_max", ["12", "20", "30"])
+@pytest.mark.parametrize("n_max", ["12", "20", "30", "39"])
 def test_csf_results_do_not_depend_on_the_blas_thread_count(n_max):
-    # the per-sector products stay below OpenBLAS's threading size up to
-    # n_max 30, and the herald is a fixed-order sum; larger cutoffs are not
-    # covered here
+    # the herald is a fixed-order sum, and OpenBLAS keeps a gemm on one
+    # thread while m n k <= 4 * 65536: the largest per-sector product,
+    # (dim x dim) @ (dim x 2 dim), stays there up to dim 50; n_max 39 is the
+    # largest cutoff whose gate, about 24 dim^4 bytes, fits a 2**26-byte budget
     lines = []
     for threads in ("1", "2"):
         env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "OPENBLAS_NUM_THREADS": threads}

@@ -7,7 +7,6 @@ import pytest
 from jcsim.jcm import ns_gate_times
 from jcsim.loop_circuit import (
     LoopPhase,
-    LoopSchedule,
     _pbs,
     _pockels,
     _scientific,
@@ -74,32 +73,26 @@ def test_canonical_trace_steps_the_photon_label():
 
 
 def test_cell_off_at_injection_ejects_photon():
-    schedule = LoopSchedule(
-        (LoopPhase(False, 1e-9), LoopPhase(False, 1e-4), LoopPhase(True, 1e-9))
-    )
+    schedule = (LoopPhase(False, 1e-9), LoopPhase(False, 1e-4), LoopPhase(True, 1e-9))
     with pytest.raises(ValueError, match="injection"):
         run_loop_protocol(schedule)
 
 
 def test_cell_on_during_circulation_ejects_mid_gate():
-    schedule = LoopSchedule(
-        (LoopPhase(True, 1e-9), LoopPhase(True, 1e-4), LoopPhase(True, 1e-9))
-    )
+    schedule = (LoopPhase(True, 1e-9), LoopPhase(True, 1e-4), LoopPhase(True, 1e-9))
     with pytest.raises(ValueError, match="mid-gate"):
         run_loop_protocol(schedule)
 
 
 def test_cell_off_at_extraction_traps_photon():
-    schedule = LoopSchedule(
-        (LoopPhase(True, 1e-9), LoopPhase(False, 1e-4), LoopPhase(False, 1e-9))
-    )
+    schedule = (LoopPhase(True, 1e-9), LoopPhase(False, 1e-4), LoopPhase(False, 1e-9))
     with pytest.raises(ValueError, match="trapped"):
         run_loop_protocol(schedule)
 
 
 @pytest.mark.parametrize("pc_on", list(itertools.product([True, False], repeat=3)))
 def test_every_cell_schedule(pc_on):
-    schedule = LoopSchedule(tuple(LoopPhase(on, 1e-9) for on in pc_on))
+    schedule = tuple(LoopPhase(on, 1e-9) for on in pc_on)
     canonical = (True, False, True)
     if pc_on == canonical:
         final = run_loop_protocol(schedule).steps[-1]
@@ -117,8 +110,10 @@ def test_every_cell_schedule(pc_on):
 
 
 def test_schedule_needs_three_phases():
-    with pytest.raises(ValueError):
-        LoopSchedule((LoopPhase(True, 1.0), LoopPhase(False, 1.0)))  # type: ignore[arg-type]
+    for count in (0, 2, 4):
+        phases = tuple(LoopPhase(on, 1.0) for on in [True, False, True, False][:count])
+        with pytest.raises(ValueError, match=f"a loop schedule has exactly 3 phases, got {count}"):
+            run_loop_protocol(phases)
 
 
 def test_phase_duration_positive():

@@ -41,8 +41,6 @@ from .linear_optics import csf_truth_table
 from .loop_circuit import (
     PC_RESPONSE,
     LoopPhase,
-    LoopTimingReport,
-    ProtocolTrace,
     canonical_schedule,
     run_loop_protocol,
     timing_report,
@@ -86,7 +84,7 @@ def _fmt(x: float) -> str:
 def _emit(args, results) -> None:
     """Write the run's record: CSV of ``results["rows"]``, or the JSON envelope.
 
-    ``results`` is a dict or a library dataclass, encoded with :func:`_json_default`.
+    ``results`` is a dict whose values :func:`_json_default` encodes.
     The configuration echo is every parsed flag under its argparse name,
     ``None`` when not given, except ``command``, ``format`` and ``out``.
     """
@@ -182,7 +180,7 @@ def _cmd_fig4_pmf(args) -> dict:
     return {"mu1": args.mu1, "mu2": args.mu2, "rows": rows}
 
 
-def _cmd_loop_timing(args) -> LoopTimingReport:
+def _cmd_loop_timing(args) -> dict:
     return timing_report(
         args.wavelength,
         args.kappa,
@@ -219,7 +217,7 @@ def _load_schedule(source: str) -> tuple[LoopPhase, ...]:
         raise layout from None
 
 
-def _cmd_loop_protocol(args) -> ProtocolTrace:
+def _cmd_loop_protocol(args) -> dict:
     if args.schedule is not None:
         return run_loop_protocol(_load_schedule(args.schedule))
     return run_loop_protocol(canonical_schedule(args.kappa, args.m))

@@ -71,6 +71,8 @@ class MultiModeState:
     amplitudes: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
+        if not isinstance(self.cutoff, FockCutoff):
+            raise ValueError(f"cutoff must be a FockCutoff, got {self.cutoff!r}")
         if type(self.mode_count) is not int:  # every state passes here; skip the common case
             try:
                 mode_count = operator.index(self.mode_count)

@@ -78,66 +78,33 @@ def canonical_schedule(kappa_abs: float, m: int) -> tuple[LoopPhase, LoopPhase, 
     return LoopPhase(True, PC_RESPONSE), LoopPhase(False, gate), LoopPhase(True, PC_RESPONSE)
 
 
-@dataclass(frozen=True)
-class TraceStep:
-    phase: int
-    element: str
-    pc_on: bool
-    path: str  # 'a' or 'b'
-    polarization: str  # 'V' or 'H'
-
-
-@dataclass(frozen=True)
-class ProtocolTrace:
-    steps: tuple[TraceStep, ...]
-    exit_phase: int
-    interaction_window: float  # circulation duration handed to the atom-field gate
-
-
-def run_loop_protocol(phases: tuple[LoopPhase, ...]) -> ProtocolTrace:
+def run_loop_protocol(phases: tuple[LoopPhase, ...]) -> dict:
     """Execute the injection, circulation and extraction phases on a single injected photon.
 
     The photon arrives horizontally polarized on path a (only H is steered
-    into the loop by the splitter).  Raises ``ValueError`` unless there are
-    exactly three phases, and if any phase would eject the photon before
-    extraction or leave it circulating afterwards.
+    into the loop by the splitter).  Returns ``{"steps", "exit_phase",
+    "interaction_window"}``: one step ``{"phase", "element", "pc_on",
+    "path", "polarization"}`` per element met, with the path 'a' or 'b' and
+    the polarization 'V' or 'H' after it; the exit phase 3; and the
+    circulation duration handed to the atom-field gate.  Raises
+    ``ValueError`` unless there are exactly three phases, and if any phase
+    would eject the photon before extraction or leave it circulating
+    afterwards.
     """
     if len(phases) != 3:
         raise ValueError(f"a loop schedule has exactly 3 phases, got {len(phases)}")
-    steps: list[TraceStep] = []
+    steps = []
     label = ("a", "H")
     for number, (phase, (elements, after, violation)) in enumerate(
         zip(phases, _PHASES), start=1
     ):
         for element in elements:
             label = _pbs(label) if element == "pbs" else _pockels(label, phase.pc_on)
-            steps.append(TraceStep(number, element, phase.pc_on, *label))
+            steps.append({"phase": number, "element": element, "pc_on": phase.pc_on,
+                          "path": label[0], "polarization": label[1]})
         if label != after:
             raise ValueError(violation)
-    return ProtocolTrace(
-        tuple(steps), exit_phase=3, interaction_window=phases[1].duration
-    )
-
-
-@dataclass(frozen=True)
-class LoopTimingReport:
-    """Geometry-derived switching and loss budget for the loop cavity."""
-
-    wavelength: float
-    cavity_width: float
-    pc_response_required: float
-    achievable_pc_response: float
-    gate_time_m1: float
-    gate_time_m3: float
-    round_trips_m1: float
-    round_trips_m3: float
-    loss_pc: float
-    loss_pbs: float
-    survival_log10_m1: float
-    survival_log10_m3: float
-    survival_m1_scientific: str
-    survival_m3_scientific: str
-    pc_fast_enough: bool
+    return {"steps": steps, "exit_phase": 3, "interaction_window": phases[1].duration}
 
 
 def _scientific(log10_value: float) -> str:
@@ -155,8 +122,12 @@ def timing_report(
     loss_pc: float = 0.04,
     loss_pbs: float = 0.01,
     achievable_pc_response: float = PC_RESPONSE,
-) -> LoopTimingReport:
+) -> dict:
     """Switching-time and loss budget for a cavity of width lambda/2.
+
+    Returns a dict of the inputs, the cavity width, the cell response it
+    requires (L/c), the m = 1 and m = 3 gate times, round trips and
+    survivals, and whether the achievable response is fast enough.
 
     One cell traversal and one splitter traversal are charged per round
     trip (the counting convention is a modeling choice; physical layouts
@@ -185,20 +156,20 @@ def timing_report(
             f"(wavelength {wavelength:g}, kappa {kappa_abs:g})"
         )
     pc_response_required = cavity_width / SPEED_OF_LIGHT
-    return LoopTimingReport(
-        wavelength=wavelength,
-        cavity_width=cavity_width,
-        pc_response_required=pc_response_required,
-        achievable_pc_response=achievable_pc_response,
-        gate_time_m1=gate_m1,
-        gate_time_m3=gate_m3,
-        round_trips_m1=trips_m1,
-        round_trips_m3=trips_m3,
-        loss_pc=loss_pc,
-        loss_pbs=loss_pbs,
-        survival_log10_m1=log_m1,
-        survival_log10_m3=log_m3,
-        survival_m1_scientific=_scientific(log_m1),
-        survival_m3_scientific=_scientific(log_m3),
-        pc_fast_enough=achievable_pc_response <= pc_response_required,
-    )
+    return {
+        "wavelength": wavelength,
+        "cavity_width": cavity_width,
+        "pc_response_required": pc_response_required,
+        "achievable_pc_response": achievable_pc_response,
+        "gate_time_m1": gate_m1,
+        "gate_time_m3": gate_m3,
+        "round_trips_m1": trips_m1,
+        "round_trips_m3": trips_m3,
+        "loss_pc": loss_pc,
+        "loss_pbs": loss_pbs,
+        "survival_log10_m1": log_m1,
+        "survival_log10_m3": log_m3,
+        "survival_m1_scientific": _scientific(log_m1),
+        "survival_m3_scientific": _scientific(log_m3),
+        "pc_fast_enough": achievable_pc_response <= pc_response_required,
+    }

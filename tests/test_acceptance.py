@@ -139,9 +139,9 @@ def test_criterion_06_conditional_sign_flip_truth_table():
 def test_criterion_07_loop_timing_numbers():
     rep = timing_report(CAVITY_WAVELENGTH, CAVITY_KAPPA)
     checks = [
-        (rep.pc_response_required, 2.330e-11),
-        (rep.gate_time_m1, 4.67e-4),
-        (rep.gate_time_m3, 1.09e-3),
+        (rep["pc_response_required"], 2.330e-11),
+        (rep["gate_time_m1"], 4.67e-4),
+        (rep["gate_time_m3"], 1.09e-3),
     ]
     passed = all(abs(got - ref) / ref < 5e-3 for got, ref in checks)
     assert report(7, "L/c and both gate times within 0.5% relative", passed)

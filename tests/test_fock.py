@@ -97,6 +97,15 @@ def test_non_integral_cutoff_or_occupation_is_refused(build, message):
         build()
 
 
+@pytest.mark.parametrize(
+    "cutoff", [5, np.int64(5), None, "5"], ids=["int", "numpy-int", "none", "text"]
+)
+def test_state_cutoff_that_is_not_a_fock_cutoff_is_refused(cutoff):
+    # every refusal is a ValueError, the one type the CLI prints as one line
+    with pytest.raises(ValueError, match=re.escape(f"cutoff must be a FockCutoff, got {cutoff!r}")):
+        MultiModeState(1, cutoff, np.ones(6))
+
+
 def test_numpy_integers_pass_as_cutoff_and_occupation():
     cutoff = FockCutoff(np.int64(5))
     assert type(cutoff.n_max) is int and cutoff == FockCutoff(5)

@@ -1,7 +1,5 @@
 import itertools
 import math
-from dataclasses import astuple
-
 import pytest
 
 from jcsim.jcm import ns_gate_times
@@ -49,12 +47,12 @@ def test_canonical_schedule_runs_to_extraction():
     for m in (1, 3):
         schedule = canonical_schedule(KAPPA, m)
         trace = run_loop_protocol(schedule)
-        assert trace.exit_phase == 3
-        assert trace.interaction_window == pytest.approx(ns_gate_times(KAPPA, m))
-        final = trace.steps[-1]
-        assert (final.path, final.polarization) == ("a", "H")
+        assert trace["exit_phase"] == 3
+        assert trace["interaction_window"] == pytest.approx(ns_gate_times(KAPPA, m))
+        final = trace["steps"][-1]
+        assert (final["path"], final["polarization"]) == ("a", "H")
         # exactly one exit: no earlier step puts the photon outside as H
-        outside = [s for s in trace.steps[:-1] if s.path == "a"]
+        outside = [s for s in trace["steps"][:-1] if s["path"] == "a"]
         assert outside == []
 
 
@@ -62,7 +60,7 @@ def test_canonical_trace_steps_the_photon_label():
     # Every splitter and cell action: H crosses paths at the splitter, V keeps
     # its path; the powered cell swaps V and H, the unpowered one does nothing.
     trace = run_loop_protocol(canonical_schedule(KAPPA, 1))
-    assert [astuple(step) for step in trace.steps] == [
+    assert [tuple(step.values()) for step in trace["steps"]] == [
         (1, "pbs", True, "b", "H"),
         (1, "pc", True, "b", "V"),
         (2, "pbs", False, "b", "V"),
@@ -95,8 +93,8 @@ def test_every_cell_schedule(pc_on):
     schedule = tuple(LoopPhase(on, 1e-9) for on in pc_on)
     canonical = (True, False, True)
     if pc_on == canonical:
-        final = run_loop_protocol(schedule).steps[-1]
-        assert (final.path, final.polarization) == ("a", "H")
+        final = run_loop_protocol(schedule)["steps"][-1]
+        assert (final["path"], final["polarization"]) == ("a", "H")
         return
     # the message of the first phase whose cell setting is wrong
     first_wrong = [on != want for on, want in zip(pc_on, canonical)].index(True)
@@ -128,31 +126,31 @@ def test_phase_duration_positive():
 
 def test_report_reproduces_cavity_numbers():
     report = timing_report(WAVELENGTH, KAPPA)
-    assert report.cavity_width == pytest.approx(6.986e-3, rel=5e-3)
-    assert report.pc_response_required == pytest.approx(2.330e-11, rel=5e-3)
-    assert report.gate_time_m1 == pytest.approx(4.67e-4, rel=5e-3)
-    assert report.gate_time_m3 == pytest.approx(1.09e-3, rel=5e-3)
-    assert not report.pc_fast_enough  # 2.5e-10 s response is ~10x too slow
+    assert report["cavity_width"] == pytest.approx(6.986e-3, rel=5e-3)
+    assert report["pc_response_required"] == pytest.approx(2.330e-11, rel=5e-3)
+    assert report["gate_time_m1"] == pytest.approx(4.67e-4, rel=5e-3)
+    assert report["gate_time_m3"] == pytest.approx(1.09e-3, rel=5e-3)
+    assert not report["pc_fast_enough"]  # 2.5e-10 s response is ~10x too slow
 
 
 def test_round_trip_arithmetic_consistent():
     report = timing_report(WAVELENGTH, KAPPA)
-    round_trip_time = 2 * report.cavity_width / 2.998e8
-    assert report.round_trips_m1 * round_trip_time == pytest.approx(
-        report.gate_time_m1, rel=1e-9
+    round_trip_time = 2 * report["cavity_width"] / 2.998e8
+    assert report["round_trips_m1"] * round_trip_time == pytest.approx(
+        report["gate_time_m1"], rel=1e-9
     )
-    assert report.round_trips_m3 * round_trip_time == pytest.approx(
-        report.gate_time_m3, rel=1e-9
+    assert report["round_trips_m3"] * round_trip_time == pytest.approx(
+        report["gate_time_m3"], rel=1e-9
     )
 
 
 def test_loss_budget_is_catastrophic_but_not_rounded_away():
     report = timing_report(WAVELENGTH, KAPPA, loss_pc=0.04, loss_pbs=0.01)
-    assert report.round_trips_m1 == pytest.approx(1.0e7, rel=2e-3)
+    assert report["round_trips_m1"] == pytest.approx(1.0e7, rel=2e-3)
     # the float underflows, the log10 bookkeeping does not
-    assert report.survival_log10_m1 == pytest.approx(-221147, rel=1e-4)
-    assert report.survival_m1_scientific.endswith("e-221147")
-    mantissa = float(report.survival_m1_scientific.split("e")[0])
+    assert report["survival_log10_m1"] == pytest.approx(-221147, rel=1e-4)
+    assert report["survival_m1_scientific"].endswith("e-221147")
+    mantissa = float(report["survival_m1_scientific"].split("e")[0])
     assert 1.0 <= mantissa < 10.0
 
 
@@ -167,13 +165,13 @@ def test_scientific_mantissa_rounding_to_ten_carries_into_the_exponent(log10_val
 def test_nearly_lossless_loop_reports_one_not_ten():
     # a log10 survival of about -1e-6 rounds its mantissa up to 10.0000
     report = timing_report(WAVELENGTH, KAPPA, loss_pc=1e-13, loss_pbs=0.0)
-    assert report.survival_m1_scientific == report.survival_m3_scientific == "1.0000e+0"
+    assert report["survival_m1_scientific"] == report["survival_m3_scientific"] == "1.0000e+0"
 
 
 def test_lossless_loop_survives():
     report = timing_report(WAVELENGTH, KAPPA, loss_pc=0.0, loss_pbs=0.0)
-    assert report.survival_log10_m1 == 0.0
-    assert report.survival_log10_m3 == 0.0
+    assert report["survival_log10_m1"] == 0.0
+    assert report["survival_log10_m3"] == 0.0
 
 
 def test_report_validates_inputs():
